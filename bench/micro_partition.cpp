@@ -1,7 +1,7 @@
 // Micro-benchmarks for the partitioned DES kernel (ROADMAP item 2): the
 // same multi-device experiment executed at K = 1, 2, 4, 8 partitions,
 // with events/s as the headline. The scaling claim this backs: >= 2x
-// events/s at K=4 over K=1. A synthetic kernel-only benchmark isolates
+// events/s at K=4 over K=1. Synthetic kernel-only benchmarks isolate
 // window/barrier overhead from experiment entity costs.
 
 #include <benchmark/benchmark.h>
@@ -102,6 +102,45 @@ BENCHMARK(BM_PartitionedKernelChains)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/// Barrier cost against topology size: K=1 with `edges` self-edges, a
+/// chain posting through the first one every 10 us and every other edge
+/// idle. The drain walks one outbox per partition, not the edges, so the
+/// sizes should read within noise of each other.
+void BM_PartitionedSparseEdges(benchmark::State& state) {
+  const auto edge_count = static_cast<std::size_t>(state.range(0));
+  constexpr SimDuration kLookahead = 2 * kMillisecond;
+  constexpr SimDuration kPostSpacing = 10;  // microseconds
+  constexpr SimDuration kSlice = 100 * kMillisecond;
+  sim::PartitionedSimulator ps(1, {1, 1});
+  sim::BoundaryEdge& busy = ps.add_edge(0, 0, kLookahead);
+  for (std::size_t e = 1; e < edge_count; ++e) {
+    ps.add_edge(0, 0, kLookahead);
+  }
+  struct Chain {
+    sim::Simulator* sim;
+    sim::BoundaryEdge* edge;
+    void operator()() const {
+      edge->post(sim->now(), sim->now() + kLookahead, [] {});
+      sim->schedule_in(kPostSpacing, *this);
+    }
+  };
+  sim::Simulator& sim = ps.partition(0);
+  sim.schedule_at(0, Chain{&sim, &busy});
+  SimTime until = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    until += kSlice;
+    events += ps.run_until(until);
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["edges"] = static_cast<double>(edge_count);
+}
+BENCHMARK(BM_PartitionedSparseEdges)
+    ->Arg(8)
+    ->Arg(8000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -62,7 +62,7 @@ struct LinkStats {
 ///    completion order. No tie is ever broken by wall-clock, pointer
 ///    value, or container iteration order.
 ///  - When the link crosses a partition boundary (bind_boundary), the
-///    delivery is routed through the edge's mailbox instead of being
+///    delivery is posted through the boundary edge instead of being
 ///    scheduled directly; the partitioned driver re-establishes the same
 ///    (deliver time, post time, edge, FIFO) order canonically, so the
 ///    receiver observes an identical delivery sequence at every

@@ -141,10 +141,9 @@ void Link::finish_service(Packet packet) {
   if (jitter_) delay += jitter_->sample(rng_);
   const SimTime deliver_at = sim_.now() + std::max<SimDuration>(delay, 0);
   if (boundary_ != nullptr) {
-    boundary_->post(sim_.now(), deliver_at,
-                    sim::InlineTask([this, packet, deliver_at] {
-                      deliver(packet, deliver_at);
-                    }));
+    boundary_->post(sim_.now(), deliver_at, [this, packet, deliver_at] {
+      deliver(packet, deliver_at);
+    });
     return;
   }
   sim_.schedule_at(deliver_at, [this, packet, deliver_at] {

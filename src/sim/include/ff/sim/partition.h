@@ -15,7 +15,7 @@
 //
 // runs every partition up to (but excluding) H in parallel -- no event
 // executed inside the window can influence another partition before H --
-// then drains the mailboxes at the barrier and opens the next window.
+// then drains the outboxes at the barrier and opens the next window.
 // This is the time-window variant of null-message synchronization: the
 // horizon broadcast plays the role of null messages, amortized to one
 // barrier per window instead of one message per edge.
@@ -23,16 +23,19 @@
 // Determinism is the headline contract: results are bit-identical for any
 // partition count and any worker-thread count. Three mechanisms carry it:
 //
-//  1. Mailboxes are SPSC by construction (one producing partition; the
-//     driver consumes only at barriers), so no interleaving exists to
-//     observe.
-//  2. At each barrier the drained envelopes are ordered canonically --
-//     stable-sorted by (deliver_at, post_time), with the stable sort
-//     preserving (edge id, intra-edge FIFO) for full ties -- and assigned
-//     sequences from one global counter in that order. Windows partition
-//     virtual time identically for every K (the pending-event union, and
-//     hence the horizon sequence, is K-independent), so equal post times
-//     always share a drain and the assignment is reproducible.
+//  1. Each partition posts into its own outbox, SPSC by construction (the
+//     worker owning the partition appends during a window; the driver
+//     consumes only at barriers), so no interleaving exists to observe.
+//  2. At each barrier the driver gathers the K outboxes and sorts the
+//     envelopes by the strict total order (deliver_at, post_time, edge
+//     id, position in the outbox) -- the edge id makes full ties
+//     independent of which partition posted them -- then assigns
+//     sequences from one global counter in that order. Windows
+//     partition virtual time identically for every K (the
+//     pending-event union, and hence the horizon sequence, is
+//     K-independent), so equal post times always share a drain and the
+//     assignment is reproducible. The barrier costs O(K + n log n) for n
+//     envelopes, however many edges exist.
 //  3. Assigned sequences live in the EventQueue's external band: at equal
 //     timestamps, every delivery executes after every internal event of
 //     the destination partition, by explicit rule rather than by accident
@@ -53,38 +56,53 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ff/sim/event_queue.h"
 #include "ff/sim/inline_task.h"
 #include "ff/sim/simulator.h"
+#include "ff/util/spsc_queue.h"
 #include "ff/util/units.h"
 
 namespace ff::sim {
 
-/// One cross-partition message: an action to run in the destination
-/// partition at `deliver_at`, posted by the source at `post_time`.
+/// One cross-partition message: an action to run in partition
+/// `destination` at `deliver_at`, posted through edge `edge` at
+/// `post_time`.
 struct BoundaryEnvelope {
-  SimTime deliver_at{0};
-  SimTime post_time{0};
+  template <class F>
+  BoundaryEnvelope(SimTime at, SimTime posted, std::size_t edge_id,
+                   std::size_t to, F&& task)
+      : deliver_at(at),
+        post_time(posted),
+        edge(edge_id),
+        destination(to),
+        action(std::forward<F>(task)) {}
+
+  SimTime deliver_at;
+  SimTime post_time;
+  std::size_t edge;
+  std::size_t destination;
   InlineTask action;
 };
 
-/// Mailbox for one directed source-partition -> destination-partition
-/// edge. Single producer (the source partition's worker, while a window
-/// executes), single consumer (the driver, at the barrier between
-/// windows) -- the two phases never overlap, so a plain vector suffices
-/// and envelope order is exactly post order.
+/// One directed source-partition -> destination-partition edge. It owns
+/// no storage: a post appends to the source partition's outbox, tagged
+/// with this edge's id and destination, so an edge's envelopes sit in
+/// one outbox in post order.
 class BoundaryEdge {
  public:
-  /// Posts an action for the destination partition. Must be called only
-  /// from events executing in the source partition. `deliver_at` must
-  /// honor the lookahead contract: deliver_at >= post_time + min_delay().
-  void post(SimTime post_time, SimTime deliver_at, InlineTask action) {
+  /// Posts an action for the destination partition, constructing the
+  /// callable directly in the outbox envelope. Must be called only from
+  /// events executing in the source partition. `deliver_at` must honor
+  /// the lookahead contract: deliver_at >= post_time + min_delay().
+  template <class F>
+  void post(SimTime post_time, SimTime deliver_at, F&& action) {
     assert(deliver_at >= post_time + min_delay_ &&
            "boundary post violates the edge's lookahead contract");
-    pending_.push_back(BoundaryEnvelope{deliver_at, post_time,
-                                        std::move(action)});
+    outbox_->emplace_back(deliver_at, post_time, id_, destination_,
+                          std::forward<F>(action));
   }
 
   /// Lookahead bound: no post may deliver sooner than this after its
@@ -102,17 +120,18 @@ class BoundaryEdge {
   friend class PartitionedSimulator;
 
   BoundaryEdge(std::size_t id, std::size_t source, std::size_t destination,
-               SimDuration min_delay)
+               SimDuration min_delay, std::vector<BoundaryEnvelope>* outbox)
       : id_(id),
         source_(source),
         destination_(destination),
-        min_delay_(min_delay) {}
+        min_delay_(min_delay),
+        outbox_(outbox) {}
 
   std::size_t id_;
   std::size_t source_;
   std::size_t destination_;
   SimDuration min_delay_;
-  std::vector<BoundaryEnvelope> pending_;
+  std::vector<BoundaryEnvelope>* outbox_;  ///< the source partition's
 };
 
 /// K Simulators advanced in lockstep time windows. See the file comment
@@ -153,7 +172,8 @@ class PartitionedSimulator {
   /// a zero-delay edge has no lookahead and would force zero-width
   /// windows -- otherwise std::invalid_argument is thrown. Self-edges
   /// (source == destination) are allowed and still route through the
-  /// mailbox, which keeps delivery ordering identical at every K.
+  /// source partition's outbox, which keeps delivery ordering identical
+  /// at every K.
   BoundaryEdge& add_edge(std::size_t source, std::size_t destination,
                          SimDuration min_delay);
 
@@ -184,16 +204,33 @@ class PartitionedSimulator {
   void stop_workers();
   void worker_loop(unsigned index);
 
+  /// Envelopes posted by one source partition's edges since the last
+  /// barrier, in post order. Single producer (the worker owning that
+  /// partition, during a window), single consumer (the driver, at the
+  /// barrier): the phases never overlap and the round_/remaining_
+  /// handoffs below order them, so a plain vector suffices. The padding
+  /// keeps two workers' appends off one cache line.
+  struct alignas(kCacheLine) Outbox {
+    std::vector<BoundaryEnvelope> envelopes;
+  };
+
+  /// Drain scratch, reused across barriers: an envelope's sort key and
+  /// its address. The key is a strict total order (an edge's envelopes
+  /// share one outbox, so position breaks every remaining tie).
+  struct DrainEntry {
+    SimTime deliver_at;
+    SimTime post_time;
+    std::size_t edge;
+    std::size_t position;  ///< index in the envelope's outbox
+    BoundaryEnvelope* envelope;
+  };
+
   std::vector<std::unique_ptr<Simulator>> partitions_;
+  /// One per partition; never resized, since edges point into it.
+  std::vector<Outbox> outboxes_;
   std::vector<std::unique_ptr<BoundaryEdge>> edges_;
   SimDuration lookahead_{0};
   std::uint64_t next_external_seq_{EventQueue::kExternalSequenceBase};
-  /// Drain scratch, reused across barriers: envelope plus its edge's
-  /// destination partition, tagged at gather time.
-  struct DrainEntry {
-    BoundaryEnvelope* envelope;
-    std::uint32_t destination;
-  };
   std::vector<DrainEntry> batch_;
 
   // Worker gang (started lazily on the first parallel window). Round

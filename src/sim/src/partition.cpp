@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 namespace ff::sim {
 namespace {
@@ -39,6 +40,7 @@ PartitionedSimulator::PartitionedSimulator(std::uint64_t seed,
   for (std::size_t i = 0; i < options.partitions; ++i) {
     partitions_.push_back(std::make_unique<Simulator>(seed));
   }
+  outboxes_.resize(options.partitions);
 }
 
 PartitionedSimulator::~PartitionedSimulator() { stop_workers(); }
@@ -61,7 +63,8 @@ BoundaryEdge& PartitionedSimulator::add_edge(std::size_t source,
   edges_.push_back(std::unique_ptr<BoundaryEdge>(
       // ff-lint: allow(raw-allocation) topology setup, not the event path
       // (private ctor keeps make_unique out)
-      new BoundaryEdge(edges_.size(), source, destination, min_delay)));
+      new BoundaryEdge(edges_.size(), source, destination, min_delay,
+                       &outboxes_[source].envelopes)));
   lookahead_ = lookahead_ == 0 ? min_delay : std::min(lookahead_, min_delay);
   return *edges_.back();
 }
@@ -109,29 +112,27 @@ std::uint64_t PartitionedSimulator::run_until(SimTime t_end) {
 
 void PartitionedSimulator::drain_mailboxes() {
   batch_.clear();
-  // Gather in edge-creation order: for full (deliver_at, post_time) ties
-  // the stable sort below preserves this order -- edge id first, then
-  // intra-edge FIFO.
-  for (const auto& edge : edges_) {
-    for (BoundaryEnvelope& env : edge->pending_) {
-      batch_.push_back(
-          DrainEntry{&env, static_cast<std::uint32_t>(edge->destination_)});
+  for (Outbox& outbox : outboxes_) {
+    std::size_t position = 0;
+    for (BoundaryEnvelope& env : outbox.envelopes) {
+      batch_.push_back(DrainEntry{env.deliver_at, env.post_time, env.edge,
+                                  position++, &env});
     }
   }
   if (batch_.empty()) return;
-  std::stable_sort(batch_.begin(), batch_.end(),
-                   [](const DrainEntry& a, const DrainEntry& b) {
-                     if (a.envelope->deliver_at != b.envelope->deliver_at) {
-                       return a.envelope->deliver_at < b.envelope->deliver_at;
-                     }
-                     return a.envelope->post_time < b.envelope->post_time;
-                   });
+  // The key is a strict total order, so the in-place sort is
+  // deterministic although it is not stable.
+  std::sort(batch_.begin(), batch_.end(),
+            [](const DrainEntry& a, const DrainEntry& b) {
+              return std::tie(a.deliver_at, a.post_time, a.edge, a.position) <
+                     std::tie(b.deliver_at, b.post_time, b.edge, b.position);
+            });
   for (const DrainEntry& entry : batch_) {
-    (void)partitions_[entry.destination]->schedule_external(
-        entry.envelope->deliver_at, next_external_seq_++,
+    (void)partitions_[entry.envelope->destination]->schedule_external(
+        entry.deliver_at, next_external_seq_++,
         std::move(entry.envelope->action));
   }
-  for (const auto& edge : edges_) edge->pending_.clear();
+  for (Outbox& outbox : outboxes_) outbox.envelopes.clear();
 }
 
 void PartitionedSimulator::execute_window(SimTime horizon) {

@@ -166,6 +166,42 @@ TEST(PartitionedSimulator, CanonicalDrainOrderUnderAdversarialTimestamps) {
   EXPECT_EQ(log, expected);
 }
 
+/// Full (deliver_at, post_time) ties across source partitions. Envelopes
+/// are gathered outbox by outbox, so only the edge-id key makes the order
+/// independent of which partition posted them. The edges are created out
+/// of source order, and partition 2 posts e2 before both of e0's posts,
+/// which must keep their FIFO order.
+TEST(PartitionedSimulator, EdgeIdBreaksTiesAcrossSourcePartitions) {
+  const auto run = [](unsigned threads) {
+    PartitionedSimulator::Options o;
+    o.partitions = 3;
+    o.threads = threads;
+    PartitionedSimulator ps(1, o);
+    BoundaryEdge& e0 = ps.add_edge(2, 0, 10);
+    BoundaryEdge& e1 = ps.add_edge(1, 0, 10);
+    BoundaryEdge& e2 = ps.add_edge(2, 0, 10);
+
+    // Every delivery runs in partition 0, so one thread writes the log.
+    std::vector<std::string> log;
+    const auto mark = [&log](const char* label) {
+      return [&log, label] { log.emplace_back(label); };
+    };
+    ps.partition(2).schedule_at(0, [&] {
+      e2.post(0, 20, mark("e2"));
+      e0.post(0, 20, mark("e0 first"));
+      e0.post(0, 20, mark("e0 second"));
+    });
+    ps.partition(1).schedule_at(0, [&] { e1.post(0, 20, mark("e1")); });
+    ps.run_until(100);
+    return log;
+  };
+
+  const std::vector<std::string> expected = {"e0 first", "e0 second", "e1",
+                                             "e2"};
+  EXPECT_EQ(run(1), expected);
+  EXPECT_EQ(run(3), expected);
+}
+
 /// Envelopes still pending when run_until returns (posted in the final
 /// window) are delivered by the next call.
 TEST(PartitionedSimulator, PendingEnvelopesSurviveAcrossRunCalls) {
