@@ -55,12 +55,13 @@ int main() {
                      "device P (fps)", "device Tl"});
     for (std::size_t i = 0; i < limits.size(); ++i) {
       const auto& r = runs.points[i].result;
+      const auto& stats = r.servers.front().stats;
       const double server_fps =
-          static_cast<double>(r.server.requests_completed) /
+          static_cast<double>(stats.requests_completed) /
           sim_to_seconds(r.duration);
       table.add_row({std::to_string(limits[i]), fmt(server_fps, 0),
-                     fmt(r.server.mean_batch_size(), 1),
-                     std::to_string(r.server.requests_rejected),
+                     fmt(stats.mean_batch_size(), 1),
+                     std::to_string(stats.requests_rejected),
                      fmt(r.devices[0].mean_throughput(), 2),
                      std::to_string(r.devices[0].totals.timeouts_load)});
     }
@@ -85,11 +86,12 @@ int main() {
     for (const auto& point : runs.points) {
       const auto& r = point.result;
       const auto& d = r.devices[0];
+      const auto& stats = r.servers.front().stats;
       table.add_row({point.desc.coordinates[0], fmt(d.mean_throughput(), 2),
                      std::to_string(d.totals.timeouts_network) + "/" +
                          std::to_string(d.totals.timeouts_load),
-                     fmt(r.server.service_latency_us.mean() / 1000.0, 1),
-                     std::to_string(r.server.requests_rejected)});
+                     fmt(stats.service_latency_us.mean() / 1000.0, 1),
+                     std::to_string(stats.requests_rejected)});
     }
     std::cout << "(b) Overflow policy at the paper's limit of 15:\n"
               << table.render();

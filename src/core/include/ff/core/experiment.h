@@ -113,16 +113,10 @@ struct ExperimentResult {
   SimTime duration{0};
   std::uint64_t events_executed{0};
   std::vector<DeviceResult> devices;
-  /// One entry per edge server (always at least one; single-server runs
-  /// land in servers[0], mirrored into the legacy fields below).
+  /// One entry per edge server (always at least one; a single-server run
+  /// lands in servers[0]).
   std::vector<ServerResult> servers;
   std::vector<TenantResult> tenants;
-  /// Legacy single-server view: servers[0], kept so existing callers and
-  /// figures read unchanged.
-  server::ServerStats server{};
-  // ff-lint: allow(fingerprint-exempt) legacy mirror of servers[0],
-  // which is already mixed in via ServerResult.
-  double server_gpu_utilization{0.0};
 
   /// Aggregate mean throughput across devices.
   [[nodiscard]] double total_mean_throughput() const;
@@ -151,16 +145,13 @@ class Experiment {
   void set_trace_sink(obs::TraceSink* sink);
 
   /// Access to live objects between construction and run(), for tests and
-  /// custom instrumentation. In a partitioned run (Scenario::partitions
-  /// >= 1) this is partition 0 -- the server's partition.
-  [[nodiscard]] sim::Simulator& simulator() {
-    return psim_ ? psim_->partition(0) : *sim_;
-  }
+  /// custom instrumentation. This is partition 0 -- server 0's partition,
+  /// and the whole run at the default Scenario::partitions = 1.
+  [[nodiscard]] sim::Simulator& simulator() { return psim_.partition(0); }
 
-  /// The partitioned driver, or nullptr on the legacy single-simulator
-  /// path.
+  /// The partitioned driver every experiment runs on (never null).
   [[nodiscard]] sim::PartitionedSimulator* partitioned_simulator() {
-    return psim_.get();
+    return &psim_;
   }
   [[nodiscard]] server::EdgeServer& server() { return *servers_.at(0); }
   [[nodiscard]] server::EdgeServer& server(std::size_t s) {
@@ -190,8 +181,7 @@ class Experiment {
  private:
   struct DeviceRig {
     std::size_t index{0};
-    /// The simulator this rig's entities execute on: the shared one in a
-    /// plain run, the device's partition in a partitioned run.
+    /// The partition this rig's entities execute on.
     sim::Simulator* sim{nullptr};
     /// One NetworkedOffloadTransport path per server behind the fleet
     /// selector; the M = 1 case is pass-through.
@@ -199,9 +189,9 @@ class Experiment {
     std::unique_ptr<device::EdgeDevice> device;
     std::unique_ptr<control::Controller> controller;
     std::unique_ptr<sim::PeriodicTimer> control_timer;
-    /// Per-rig sampler (partitioned runs only): sampling must happen on
-    /// the rig's own partition, and one timer per rig keeps the event
-    /// count independent of the partition count.
+    /// Per-rig sampler: sampling must happen on the rig's own partition,
+    /// and one timer per rig keeps the event count independent of the
+    /// partition count.
     std::unique_ptr<sim::PeriodicTimer> sample_timer;
     SeriesBundle series;
     models::EnergyMeter energy;
@@ -215,16 +205,14 @@ class Experiment {
       std::size_t device_index, const device::DeviceConfig& dconf,
       std::size_t server_index) const;
   void build();
-  void build_partitioned();
   void control_tick(DeviceRig& rig);
   void maybe_rehome(DeviceRig& rig);
-  void sample_tick();
   void sample_rig(DeviceRig& rig);
 
   Scenario scenario_;
   ControllerFactory factory_;
-  std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<sim::PartitionedSimulator> psim_;
+  /// Declared before every entity so it is destroyed after them.
+  sim::PartitionedSimulator psim_;
   /// Effective topology: Scenario::fleet, or one spec synthesized from
   /// the legacy single-server fields.
   std::vector<ServerSpec> specs_;
@@ -236,8 +224,7 @@ class Experiment {
   /// Shared uplink media ("APs"); device i contends on medium i % size().
   std::vector<std::unique_ptr<net::SharedMedium>> uplink_media_;
   std::vector<std::unique_ptr<DeviceRig>> rigs_;
-  std::unique_ptr<sim::PeriodicTimer> sample_timer_;
-  /// Wraps the user's sink when partitioned workers emit concurrently.
+  /// Wraps the user's sink when window workers emit concurrently.
   std::unique_ptr<obs::SynchronizedTraceSink> synced_sink_;
   obs::TraceSink* trace_sink_{nullptr};
   bool ran_{false};

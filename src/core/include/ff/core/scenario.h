@@ -39,14 +39,13 @@ struct Scenario {
   /// contention domains to parallelize.
   std::size_t uplink_medium_groups{1};
 
-  /// Parallel partitioned execution (sim::PartitionedSimulator). 0 runs
-  /// the legacy single-simulator path. K >= 1 shards the entity graph
-  /// into K partitions (server plus per-device-group shards) advanced in
-  /// conservative time windows; results are bit-identical for every
-  /// K >= 1 and every thread count, but differ from the K = 0 path in
-  /// event bookkeeping (per-rig samplers, per-link netem), so compare
-  /// fingerprints within one mode only.
-  std::size_t partitions{0};
+  /// Partition count K of the kernel every experiment runs on
+  /// (sim::PartitionedSimulator): the entity graph is sharded into K
+  /// partitions (servers plus per-device-group shards) advanced in
+  /// conservative time windows. Results are bit-identical for every
+  /// K >= 1 and every thread count; 1 runs the whole experiment as one
+  /// partition and 0 is rejected with std::invalid_argument.
+  std::size_t partitions{1};
   /// Worker threads for partitioned windows: 0 = one per partition
   /// (hardware-capped), 1 = serial. No effect on results.
   unsigned partition_threads{0};

@@ -32,7 +32,10 @@ double ExperimentResult::total_mean_throughput() const {
 }
 
 Experiment::Experiment(Scenario scenario, ControllerFactory controllers)
-    : scenario_(std::move(scenario)), factory_(std::move(controllers)) {
+    : scenario_(std::move(scenario)),
+      factory_(std::move(controllers)),
+      psim_(scenario_.seed,
+            {scenario_.partitions, scenario_.partition_threads}) {
   if (scenario_.devices.empty()) {
     throw std::invalid_argument("Experiment: scenario has no devices");
   }
@@ -111,103 +114,28 @@ NetworkedTransportConfig Experiment::path_config(
 
 void Experiment::build() {
   resolve_topology();
-  if (scenario_.partitions > 0) {
-    build_partitioned();
-    return;
-  }
-  sim_ = std::make_unique<sim::Simulator>(scenario_.seed);
-  for (const ServerSpec& spec : specs_) {
-    servers_.push_back(
-        std::make_unique<server::EdgeServer>(*sim_, spec.config));
-    if (!spec.background_load.empty()) {
-      loads_.push_back(std::make_unique<server::LoadGenerator>(
-          *sim_, *servers_.back(), spec.background_load, spec.background));
-    }
-  }
-
-  if (scenario_.shared_uplink_medium) {
-    const std::size_t groups =
-        std::max<std::size_t>(scenario_.uplink_medium_groups, 1);
-    for (std::size_t g = 0; g < groups; ++g) {
-      uplink_media_.push_back(std::make_unique<net::SharedMedium>(
-          groups == 1 ? "uplink-ap" : "uplink-ap-" + std::to_string(g)));
-    }
-  }
-
-  std::vector<net::Link*> shaped_links;
-  for (std::size_t i = 0; i < scenario_.devices.size(); ++i) {
-    const auto& dconf = scenario_.devices[i];
-    auto rig = std::make_unique<DeviceRig>();
-    rig->index = i;
-    rig->sim = sim_.get();
-
-    rig->transport = std::make_unique<FleetOffloadTransport>();
-    for (std::size_t s = 0; s < servers_.size(); ++s) {
-      auto path = std::make_unique<NetworkedOffloadTransport>(
-          *sim_, *servers_[s], path_config(i, dconf, s));
-      for (net::Link* link : path->path().links()) {
-        shaped_links.push_back(link);
-      }
-      if (!uplink_media_.empty()) {
-        // The AP is on the device side: every server path of this device
-        // contends on the device group's medium.
-        path->path().forward_link().attach_medium(
-            uplink_media_[i % uplink_media_.size()].get());
-      }
-      rig->transport->add_path(std::move(path));
-    }
-    rig->transport->set_active(assignments_[i]);
-    rig->initial_server = assignments_[i];
-
-    rig->device =
-        std::make_unique<device::EdgeDevice>(*sim_, *rig->transport, dconf);
-    rig->controller = factory_(i);
-    if (!rig->controller) {
-      throw std::invalid_argument(
-          "Experiment: controller factory returned null");
-    }
-
-    DeviceRig* raw = rig.get();
-    rig->control_timer = std::make_unique<sim::PeriodicTimer>(
-        *sim_, [this, raw](std::uint64_t) { control_tick(*raw); });
-    rigs_.push_back(std::move(rig));
-  }
-
-  scenario_.network.apply(*sim_, std::move(shaped_links));
-
-  sample_timer_ = std::make_unique<sim::PeriodicTimer>(
-      *sim_, [this](std::uint64_t) { sample_tick(); });
-}
-
-void Experiment::build_partitioned() {
-  sim::PartitionedSimulator::Options opts;
-  opts.partitions = scenario_.partitions;
-  opts.threads = scenario_.partition_threads;
-  psim_ = std::make_unique<sim::PartitionedSimulator>(scenario_.seed, opts);
-  const std::size_t parts = psim_->partition_count();
+  const std::size_t parts = psim_.partition_count();
 
   // Lookahead floor: no delivery crosses a link faster than the minimum
   // propagation delay the run can ever configure -- the netem schedule's
-  // floor folded with the link templates' initial conditions.
+  // floor folded with the link templates' initial conditions -- and never
+  // faster than one tick, so zero-delay links still leave a lookahead.
   SimDuration floor = scenario_.network.min_propagation_delay();
   floor = std::min(floor, scenario_.uplink_template.initial.propagation_delay);
   floor =
       std::min(floor, scenario_.downlink_template.initial.propagation_delay);
-  if (floor <= 0) {
+  if (floor < 0) {
     throw std::invalid_argument(
-        "Experiment: partitioned execution requires a strictly positive "
-        "propagation delay on every link and netem phase (the conservative "
-        "lookahead); this scenario's minimum is zero");
+        "Experiment: negative propagation delay on a link template or "
+        "netem phase");
   }
+  floor = std::max(floor, kMicrosecond);
 
-  // Server s lives on partition s % K (s = 0 on partition 0, preserving
-  // the legacy single-server mapping): its EdgeServer, background load,
+  // Server s lives on partition s % K: its EdgeServer, background load,
   // and every reverse link it transmits on.
-  std::vector<sim::Simulator*> server_sims;
   for (std::size_t s = 0; s < specs_.size(); ++s) {
     const ServerSpec& spec = specs_[s];
-    sim::Simulator& server_sim = psim_->partition(s % parts);
-    server_sims.push_back(&server_sim);
+    sim::Simulator& server_sim = psim_.partition(s % parts);
     servers_.push_back(
         std::make_unique<server::EdgeServer>(server_sim, spec.config));
     if (!spec.background_load.empty()) {
@@ -223,11 +151,9 @@ void Experiment::build_partitioned() {
       scenario_.shared_uplink_medium
           ? std::max<std::size_t>(scenario_.uplink_medium_groups, 1)
           : 0;
-  if (scenario_.shared_uplink_medium) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      uplink_media_.push_back(std::make_unique<net::SharedMedium>(
-          groups == 1 ? "uplink-ap" : "uplink-ap-" + std::to_string(g)));
-    }
+  for (std::size_t g = 0; g < groups; ++g) {
+    uplink_media_.push_back(std::make_unique<net::SharedMedium>(
+        groups == 1 ? "uplink-ap" : "uplink-ap-" + std::to_string(g)));
   }
 
   for (std::size_t i = 0; i < scenario_.devices.size(); ++i) {
@@ -236,14 +162,15 @@ void Experiment::build_partitioned() {
     rig->index = i;
     const std::size_t group = scenario_.shared_uplink_medium ? i % groups : i;
     const std::size_t part = group % parts;
-    sim::Simulator& dev_sim = psim_->partition(part);
+    sim::Simulator& dev_sim = psim_.partition(part);
     rig->sim = &dev_sim;
 
     rig->transport = std::make_unique<FleetOffloadTransport>();
     for (std::size_t s = 0; s < servers_.size(); ++s) {
       const std::size_t server_part = s % parts;
       auto path = std::make_unique<NetworkedOffloadTransport>(
-          dev_sim, *server_sims[s], *servers_[s], path_config(i, dconf, s));
+          dev_sim, psim_.partition(server_part), *servers_[s],
+          path_config(i, dconf, s));
 
       // Each link crosses from its sender's partition to the receiver's;
       // self-edges (device co-partitioned with the server) still route
@@ -251,14 +178,14 @@ void Experiment::build_partitioned() {
       // at every K.
       net::Link& fwd = path->path().forward_link();
       net::Link& rev = path->path().reverse_link();
-      fwd.bind_boundary(&psim_->add_edge(part, server_part, floor));
-      rev.bind_boundary(&psim_->add_edge(server_part, part, floor));
+      fwd.bind_boundary(&psim_.add_edge(part, server_part, floor));
+      rev.bind_boundary(&psim_.add_edge(server_part, part, floor));
 
       // Netem is applied per link on the link's home simulator: phase
       // changes are sender-side state, and one event per (phase, link)
       // keeps the event count independent of the partition count.
-      scenario_.network.apply(fwd.simulator(), {&fwd});
-      scenario_.network.apply(rev.simulator(), {&rev});
+      scenario_.network.apply(fwd.simulator(), fwd);
+      scenario_.network.apply(rev.simulator(), rev);
 
       if (!uplink_media_.empty()) {
         fwd.attach_medium(uplink_media_[group].get());
@@ -286,14 +213,13 @@ void Experiment::build_partitioned() {
 }
 
 void Experiment::set_trace_sink(obs::TraceSink* sink) {
-  // Partitioned windows emit from worker threads concurrently; TraceSink
+  // Threaded windows emit from worker threads concurrently; TraceSink
   // implementations are single-threaded by contract, so interpose the
-  // serializing wrapper.
-  if (psim_ != nullptr && sink != nullptr) {
+  // serializing wrapper. Serial windows emit straight to the user's sink.
+  synced_sink_.reset();
+  if (sink != nullptr && psim_.worker_count() > 1) {
     synced_sink_ = std::make_unique<obs::SynchronizedTraceSink>(*sink);
     sink = synced_sink_.get();
-  } else {
-    synced_sink_.reset();
   }
   trace_sink_ = sink;
   for (auto& server : servers_) server->attach_trace_sink(sink);
@@ -354,10 +280,6 @@ void Experiment::maybe_rehome(DeviceRig& rig) {
   }
 }
 
-void Experiment::sample_tick() {
-  for (auto& rig : rigs_) sample_rig(*rig);
-}
-
 void Experiment::sample_rig(DeviceRig& rig) {
   const SimTime now = rig.sim->now();
   device::EdgeDevice& dev = *rig.device;
@@ -396,22 +318,16 @@ ExperimentResult Experiment::run() {
   // period after the last rig's first control tick, so no series ever
   // records the pre-control transient.
   const SimTime first_sample = first_control + scenario_.sample_period / 2;
-  if (psim_) {
-    for (auto& rig : rigs_) {
-      rig->sample_timer->start(scenario_.sample_period, first_sample);
-    }
-    psim_->run_until(scenario_.duration);
-  } else {
-    sample_timer_->start(scenario_.sample_period, first_sample);
-    sim_->run_until(scenario_.duration);
+  for (auto& rig : rigs_) {
+    rig->sample_timer->start(scenario_.sample_period, first_sample);
   }
+  psim_.run_until(scenario_.duration);
 
   ExperimentResult result;
   result.scenario = scenario_.name;
   result.seed = scenario_.seed;
-  result.duration = psim_ ? psim_->now() : sim_->now();
-  result.events_executed =
-      psim_ ? psim_->events_executed() : sim_->events_executed();
+  result.duration = psim_.now();
+  result.events_executed = psim_.events_executed();
 
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     ServerResult sr;
@@ -423,8 +339,6 @@ ExperimentResult Experiment::run() {
     sr.in_flight_batch_at_end = servers_[s]->in_flight_batch();
     result.servers.push_back(std::move(sr));
   }
-  result.server = result.servers.front().stats;
-  result.server_gpu_utilization = result.servers.front().gpu_utilization;
 
   for (auto& rig : rigs_) {
     DeviceResult d;

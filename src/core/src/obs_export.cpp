@@ -77,23 +77,24 @@ void export_metrics(const ExperimentResult& result,
   registry.gauge("run.total_mean_throughput_fps", run)
       .set(result.total_mean_throughput());
 
+  const ServerResult& server = result.servers.front();
   registry.counter("server.requests_received", run)
-      .add(static_cast<double>(result.server.requests_received));
+      .add(static_cast<double>(server.stats.requests_received));
   registry.counter("server.requests_completed", run)
-      .add(static_cast<double>(result.server.requests_completed));
+      .add(static_cast<double>(server.stats.requests_completed));
   registry.counter("server.requests_rejected", run)
-      .add(static_cast<double>(result.server.requests_rejected));
+      .add(static_cast<double>(server.stats.requests_rejected));
   registry.counter("server.requests_admission_rejected", run)
-      .add(static_cast<double>(result.server.requests_admission_rejected));
+      .add(static_cast<double>(server.stats.requests_admission_rejected));
   registry.counter("server.batches_executed", run)
-      .add(static_cast<double>(result.server.batches_executed));
+      .add(static_cast<double>(server.stats.batches_executed));
   registry.gauge("server.mean_batch_size", run)
-      .set(result.server.mean_batch_size());
+      .set(server.stats.mean_batch_size());
   registry.gauge("server.gpu_utilization", run)
-      .set(result.server_gpu_utilization);
-  if (result.server.service_latency_us.count() > 0) {
+      .set(server.gpu_utilization);
+  if (server.stats.service_latency_us.count() > 0) {
     registry.gauge("server.service_latency_us_mean", run)
-        .set(result.server.service_latency_us.mean());
+        .set(server.stats.service_latency_us.mean());
   }
 
   // Fleet runs: per-server and per-tenant breakdowns (the single-server

@@ -28,13 +28,13 @@ void print_summary(std::ostream& os, const ExperimentResult& result) {
                    latency, fmt(q.mean_cpu_utilization * 100, 1)});
   }
   os << table.render();
-  if (result.servers.size() <= 1) {
-    os << "server: batches=" << result.server.batches_executed
-       << " mean-batch=" << fmt(result.server.mean_batch_size(), 2)
-       << " completed=" << result.server.requests_completed
-       << " rejected=" << result.server.requests_rejected
-       << " gpu-util=" << fmt(result.server_gpu_utilization * 100, 1)
-       << "%\n";
+  if (result.servers.size() == 1) {
+    const ServerResult& server = result.servers.front();
+    os << "server: batches=" << server.stats.batches_executed
+       << " mean-batch=" << fmt(server.stats.mean_batch_size(), 2)
+       << " completed=" << server.stats.requests_completed
+       << " rejected=" << server.stats.requests_rejected
+       << " gpu-util=" << fmt(server.gpu_utilization * 100, 1) << "%\n";
   } else {
     for (const auto& s : result.servers) {
       os << "server " << s.name << ": batches=" << s.stats.batches_executed

@@ -57,7 +57,7 @@ Scenario scenario_from_config(const Config& config) {
       1));
   s.partitions = static_cast<std::size_t>(std::max<std::int64_t>(
       config.get_int("partitions", static_cast<std::int64_t>(s.partitions)),
-      0));
+      1));
   s.partition_threads = static_cast<unsigned>(std::max<std::int64_t>(
       config.get_int("partition_threads",
                      static_cast<std::int64_t>(s.partition_threads)),

@@ -29,9 +29,7 @@ struct DisturbanceScenario {
   SimTime disturbance_end{0};
   /// When > 0, the harness re-runs the scenario with this partition count
   /// and adds a partition_fingerprint_equality check: the re-run's result
-  /// fingerprint must equal the base run's bit-for-bit. The base scenario
-  /// must itself set partitions >= 1 (fingerprints are only comparable
-  /// within the partitioned mode).
+  /// fingerprint must equal the base run's bit-for-bit.
   std::size_t compare_partitions{0};
 };
 

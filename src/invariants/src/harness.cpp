@@ -81,7 +81,7 @@ ScenarioReport run_scenario(const DisturbanceScenario& scenario,
 
   // Partitioned-kernel determinism: re-run with the comparison partition
   // count; the result fingerprint must match bit-for-bit.
-  if (scenario.compare_partitions > 0) {
+  if (scenario.compare_partitions != 0) {
     core::Scenario repartitioned = scenario.scenario;
     repartitioned.partitions = scenario.compare_partitions;
     const core::ExperimentResult other = core::run_experiment(

@@ -109,13 +109,14 @@ class Link {
   void attach_trace_sink(obs::TraceSink* sink) { sink_ = sink; }
 
   /// Routes deliveries through a cross-partition mailbox instead of the
-  /// home simulator (nullptr restores direct scheduling). The edge's
-  /// min_delay must not exceed this link's minimum propagation delay over
-  /// the run -- that is the lookahead contract; BoundaryEdge::post asserts
-  /// it per delivery. Sender-side state (queue, stats fields written
-  /// before delivery, RNG) stays on the home simulator; only the delivery
-  /// action executes in the destination partition. `edge` must outlive
-  /// the link's traffic.
+  /// home simulator (nullptr restores direct scheduling). A bound link
+  /// never delivers sooner than the edge's min_delay after serialization
+  /// ends -- a shorter propagation delay (zero, or jitter) is raised to
+  /// it -- which is the lookahead contract BoundaryEdge::post asserts.
+  /// Sender-side state (queue, stats fields written before delivery,
+  /// RNG) stays on the home simulator; only the delivery action executes
+  /// in the destination partition. `edge` must outlive the link's
+  /// traffic.
   void bind_boundary(sim::BoundaryEdge* edge) { boundary_ = edge; }
 
   /// Simulator this link serializes on (the sender side's partition).

@@ -40,8 +40,13 @@ class NetemSchedule {
   /// Index of the phase in force at `t` (0 when before the first phase).
   [[nodiscard]] std::size_t phase_index_at(SimTime t) const;
 
-  /// Schedules `set_conditions` calls on every link at each phase start.
-  /// Links must outlive the simulation run.
+  /// Runs one `set_conditions` event per phase start on `link`. Each
+  /// phase change schedules the next, so the link holds one pending event
+  /// at a time. The schedule (unchanged) and the link must outlive the
+  /// run.
+  void apply(sim::Simulator& sim, Link& link) const;
+
+  /// The same for every link (one event per phase and link).
   void apply(sim::Simulator& sim, std::vector<Link*> links) const;
 
   /// Minimum propagation delay over all phases (SimDuration max when the

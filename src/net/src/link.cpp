@@ -139,13 +139,17 @@ void Link::finish_service(Packet packet) {
   }
   SimDuration delay = conditions_.propagation_delay;
   if (jitter_) delay += jitter_->sample(rng_);
-  const SimTime deliver_at = sim_.now() + std::max<SimDuration>(delay, 0);
   if (boundary_ != nullptr) {
+    // Never sooner than the edge's lookahead: a zero-delay (or
+    // jitter-shortened) packet lands min_delay after serialization ends.
+    const SimTime deliver_at =
+        sim_.now() + std::max(delay, boundary_->min_delay());
     boundary_->post(sim_.now(), deliver_at, [this, packet, deliver_at] {
       deliver(packet, deliver_at);
     });
     return;
   }
+  const SimTime deliver_at = sim_.now() + std::max<SimDuration>(delay, 0);
   sim_.schedule_at(deliver_at, [this, packet, deliver_at] {
     deliver(packet, deliver_at);
   });

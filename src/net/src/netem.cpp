@@ -38,12 +38,35 @@ std::size_t NetemSchedule::phase_index_at(SimTime t) const {
   return idx;
 }
 
-void NetemSchedule::apply(sim::Simulator& sim, std::vector<Link*> links) const {
-  for (const auto& phase : phases_) {
-    sim.schedule_at(phase.start, [links, conditions = phase.conditions] {
-      for (Link* link : links) link->set_conditions(conditions);
-    });
+namespace {
+
+/// One link's walk through the schedule: each phase change arms the next,
+/// so a link holds one pending event however many phases there are.
+struct PhaseStep {
+  sim::Simulator* sim;
+  Link* link;
+  const std::vector<NetemPhase>* phases;
+  std::size_t index;
+
+  void operator()() const {
+    link->set_conditions((*phases)[index].conditions);
+    if (index + 1 < phases->size()) {
+      sim->schedule_at((*phases)[index + 1].start,
+                       PhaseStep{sim, link, phases, index + 1});
+    }
   }
+};
+
+}  // namespace
+
+void NetemSchedule::apply(sim::Simulator& sim, Link& link) const {
+  if (phases_.empty()) return;
+  sim.schedule_at(phases_.front().start,
+                  PhaseStep{&sim, &link, &phases_, 0});
+}
+
+void NetemSchedule::apply(sim::Simulator& sim, std::vector<Link*> links) const {
+  for (Link* link : links) apply(sim, *link);
 }
 
 SimDuration NetemSchedule::min_propagation_delay() const {

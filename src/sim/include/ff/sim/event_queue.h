@@ -103,7 +103,7 @@ class EventQueue {
   /// compare by sequence, so externals run after all internal events of
   /// that timestamp, in assignment order.
   EventId schedule_external(SimTime t, std::uint64_t sequence,
-                            InlineTask action);
+                            InlineTask&& action);
 
   /// Cancels the event, releasing its callable immediately. Returns false
   /// if the id is unknown, already executed, or already cancelled.

@@ -54,6 +54,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -168,6 +169,10 @@ class PartitionedSimulator {
     return *partitions_.at(i);
   }
 
+  /// Threads that execute windows, resolved at construction: 1 means
+  /// windows run serially on the calling thread.
+  [[nodiscard]] unsigned worker_count() const { return worker_count_; }
+
   /// Registers a directed edge. `min_delay` must be strictly positive --
   /// a zero-delay edge has no lookahead and would force zero-width
   /// windows -- otherwise std::invalid_argument is thrown. Self-edges
@@ -228,7 +233,8 @@ class PartitionedSimulator {
   std::vector<std::unique_ptr<Simulator>> partitions_;
   /// One per partition; never resized, since edges point into it.
   std::vector<Outbox> outboxes_;
-  std::vector<std::unique_ptr<BoundaryEdge>> edges_;
+  /// A deque, so the references add_edge returns survive later adds.
+  std::deque<BoundaryEdge> edges_;
   SimDuration lookahead_{0};
   std::uint64_t next_external_seq_{EventQueue::kExternalSequenceBase};
   std::vector<DrainEntry> batch_;
@@ -245,8 +251,7 @@ class PartitionedSimulator {
   // state must be written only between a remaining_ acquire and the next
   // round_ bump (driver side) or read only after a round_ acquire
   // (worker side).
-  unsigned requested_threads_{0};
-  unsigned worker_count_{0};
+  unsigned worker_count_{1};
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> round_{0};
   std::atomic<unsigned> remaining_{0};

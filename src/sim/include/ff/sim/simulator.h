@@ -46,9 +46,11 @@ class Simulator {
   /// Schedules a cross-partition delivery at absolute time `t` (clamped to
   /// >= now) under a caller-assigned sequence from the external band (see
   /// EventQueue::kExternalSequenceBase). Used by sim::PartitionedSimulator
-  /// when draining boundary mailboxes; not for ordinary scheduling.
+  /// when draining boundary mailboxes; not for ordinary scheduling. Takes
+  /// the task by rvalue so a drained envelope's task moves once, straight
+  /// into the queue's slab.
   EventId schedule_external(SimTime t, std::uint64_t sequence,
-                            InlineTask action) {
+                            InlineTask&& action) {
     return queue_.schedule_external(std::max(t, now_), sequence,
                                     std::move(action));
   }

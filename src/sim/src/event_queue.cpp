@@ -9,7 +9,7 @@ EventId EventQueue::schedule(SimTime t, InlineTask action) {
 }
 
 EventId EventQueue::schedule_external(SimTime t, std::uint64_t sequence,
-                                      InlineTask action) {
+                                      InlineTask&& action) {
   assert(sequence >= kExternalSequenceBase &&
          "external sequences must come from the external band");
   const std::uint32_t slot = acquire_slot();

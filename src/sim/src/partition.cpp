@@ -30,11 +30,21 @@ PartitionedSimulator::PartitionedSimulator(std::uint64_t seed)
     : PartitionedSimulator(seed, Options{}) {}
 
 PartitionedSimulator::PartitionedSimulator(std::uint64_t seed,
-                                           Options options)
-    : requested_threads_(options.threads) {
+                                           Options options) {
   if (options.partitions == 0) {
     throw std::invalid_argument(
         "PartitionedSimulator: partition count must be >= 1");
+  }
+  // Resolved once, and only when there is a choice to make:
+  // hardware_concurrency() reads /sys on every call, and a long run opens
+  // tens of thousands of windows.
+  if (options.partitions > 1) {
+    const unsigned threads =
+        options.threads == 0
+            ? std::max(1u, std::thread::hardware_concurrency())
+            : options.threads;
+    worker_count_ = static_cast<unsigned>(
+        std::min<std::size_t>(options.partitions, threads));
   }
   partitions_.reserve(options.partitions);
   for (std::size_t i = 0; i < options.partitions; ++i) {
@@ -60,13 +70,10 @@ BoundaryEdge& PartitionedSimulator::add_edge(std::size_t source,
         "; conservative synchronization needs a strictly positive lookahead "
         "(the link's minimum propagation delay)");
   }
-  edges_.push_back(std::unique_ptr<BoundaryEdge>(
-      // ff-lint: allow(raw-allocation) topology setup, not the event path
-      // (private ctor keeps make_unique out)
-      new BoundaryEdge(edges_.size(), source, destination, min_delay,
-                       &outboxes_[source].envelopes)));
+  edges_.push_back(BoundaryEdge(edges_.size(), source, destination,
+                                min_delay, &outboxes_[source].envelopes));
   lookahead_ = lookahead_ == 0 ? min_delay : std::min(lookahead_, min_delay);
-  return *edges_.back();
+  return edges_.back();
 }
 
 SimTime PartitionedSimulator::now() const {
@@ -136,20 +143,11 @@ void PartitionedSimulator::drain_mailboxes() {
 }
 
 void PartitionedSimulator::execute_window(SimTime horizon) {
-  unsigned want = requested_threads_ == 0
-                      ? static_cast<unsigned>(std::min<std::size_t>(
-                            partitions_.size(),
-                            std::max(1u, std::thread::hardware_concurrency())))
-                      : static_cast<unsigned>(std::min<std::size_t>(
-                            partitions_.size(), requested_threads_));
-  if (want <= 1) {
+  if (worker_count_ <= 1) {
     for (const auto& p : partitions_) p->run_until(horizon);
     return;
   }
-  if (workers_.empty()) {
-    worker_count_ = want;
-    start_workers();
-  }
+  if (workers_.empty()) start_workers();
   horizon_ = horizon;
   remaining_.store(worker_count_, std::memory_order_relaxed);
   round_.fetch_add(1, std::memory_order_release);

@@ -69,13 +69,13 @@ TEST(ObsIntegration, TraceEventsReconcileWithTelemetry) {
 
   // Server-side completions pair with device-side offload accounting.
   EXPECT_EQ(collected.count(obs::ev::kServerComplete),
-            result.server.requests_completed);
+            result.servers.front().stats.requests_completed);
   EXPECT_EQ(collected.count(obs::ev::kServerBatchStart),
-            result.server.batches_executed);
+            result.servers.front().stats.batches_executed);
   // The horizon can cut one batch mid-execution: started but never done.
   const std::size_t batch_dones = collected.count(obs::ev::kServerBatchDone);
-  EXPECT_LE(batch_dones, result.server.batches_executed);
-  EXPECT_GE(batch_dones + 1, result.server.batches_executed);
+  EXPECT_LE(batch_dones, result.servers.front().stats.batches_executed);
+  EXPECT_GE(batch_dones + 1, result.servers.front().stats.batches_executed);
 
   // One controller tick per elapsed measurement period.
   EXPECT_GT(collected.count(obs::ev::kControlTick), 0u);
@@ -112,7 +112,7 @@ TEST(ObsIntegration, ExportedMetricsMatchRunTotals) {
       registry.counter("server.requests_completed",
                        {{"scenario", result.scenario}})
           .value(),
-      static_cast<double>(result.server.requests_completed));
+      static_cast<double>(result.servers.front().stats.requests_completed));
 
   std::ostringstream os;
   write_metrics_json(result, os);

@@ -82,16 +82,51 @@ TEST(PartitionDeterminism, PartitionedRunProducesWork) {
   }
 }
 
-/// A zero propagation delay has no lookahead; the builder must refuse it
-/// up front rather than deadlock or serialize.
-TEST(PartitionDeterminism, ZeroDelayScenarioRejected) {
+/// Adds one 0-ms phase to partition_scenario's netem walk.
+Scenario zero_delay_scenario(std::size_t partitions, unsigned threads) {
   Scenario s = partition_scenario(42);
-  s.partitions = 2;
-  net::LinkConditions zero;
+  net::LinkConditions zero = s.network.at(8 * kSecond);
   zero.propagation_delay = 0;
-  s.network = net::NetemSchedule::constant(zero);
-  s.uplink_template.initial.propagation_delay = 0;
-  s.downlink_template.initial.propagation_delay = 0;
+  s.network.add(12 * kSecond, zero, "zero-delay");
+  s.partitions = partitions;
+  s.partition_threads = threads;
+  return s;
+}
+
+/// A zero propagation delay leaves the one-tick lookahead floor: the run
+/// completes with one fingerprint at every K and thread count. A negative
+/// delay has no meaning and is still refused up front.
+TEST(PartitionDeterminism, ZeroDelayPhaseRunsAtEveryK) {
+  const auto fingerprint = [](std::size_t k, unsigned threads) {
+    return sweep::result_fingerprint(run_experiment(
+        zero_delay_scenario(k, threads),
+        make_controller_factory<control::FrameFeedbackController>()));
+  };
+  const std::uint64_t reference = fingerprint(1, 1);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2},
+                              std::size_t{4}}) {
+    for (const unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(reference, fingerprint(k, threads))
+          << "K=" << k << " threads=" << threads;
+    }
+  }
+
+  Scenario negative = zero_delay_scenario(1, 1);
+  net::LinkConditions backwards = negative.network.at(12 * kSecond);
+  backwards.propagation_delay = -kMillisecond;
+  negative.network.add(16 * kSecond, backwards, "negative-delay");
+  EXPECT_THROW((void)run_experiment(
+                   negative,
+                   make_controller_factory<control::FrameFeedbackController>()),
+               std::invalid_argument);
+}
+
+/// Every experiment runs on the partitioned kernel: one partition by
+/// default, and a partition count of zero is refused.
+TEST(PartitionDeterminism, PartitionCountDefaultsToOneAndRejectsZero) {
+  EXPECT_EQ(Scenario{}.partitions, 1u);
+  Scenario s = partition_scenario(42);
+  s.partitions = 0;
   EXPECT_THROW(
       (void)run_experiment(
           s, make_controller_factory<control::FrameFeedbackController>()),
@@ -100,9 +135,9 @@ TEST(PartitionDeterminism, ZeroDelayScenarioRejected) {
 
 /// The sweep axis helper labels and applies partition counts.
 TEST(PartitionDeterminism, PartitionAxisAppliesCounts) {
-  sweep::Axis axis = sweep::partition_axis({0, 1, 4});
+  sweep::Axis axis = sweep::partition_axis({1, 2, 4});
   ASSERT_EQ(axis.values.size(), 3u);
-  EXPECT_EQ(axis.values[0].label, "K=0");
+  EXPECT_EQ(axis.values[0].label, "K=1");
   EXPECT_EQ(axis.values[2].label, "K=4");
   Scenario s = Scenario::ideal();
   axis.values[2].apply(s);

@@ -47,6 +47,16 @@ TEST(ScenarioConfig, SeedAndDuration) {
   EXPECT_EQ(s.duration, seconds_to_sim(12.5));
 }
 
+TEST(ScenarioConfig, PartitionsClampToOne) {
+  EXPECT_EQ(scenario_from_config(Config{}).partitions, 1u);
+  EXPECT_EQ(scenario_from_config(make_config({{"partitions", "0"}})).partitions,
+            1u);
+  EXPECT_EQ(
+      scenario_from_config(make_config({{"partitions", "-3"}})).partitions, 1u);
+  EXPECT_EQ(scenario_from_config(make_config({{"partitions", "3"}})).partitions,
+            3u);
+}
+
 TEST(ScenarioConfig, DeviceReplication) {
   const Scenario s = scenario_from_config(
       make_config({{"devices", "5"}, {"device.fps", "24"}}));
