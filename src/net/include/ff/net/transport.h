@@ -2,10 +2,11 @@
 
 // Reliable message transport over lossy links.
 //
-// An offloaded frame is a message: it is fragmented into MTU packets, each
-// retransmitted on an RTO until acknowledged. This is where NetEm-style
-// loss turns into end-to-end latency inflation -- the mechanism behind the
-// paper's network-induced timeouts (Tn).
+// An offloaded frame is a message: it is fragmented into MTU packets, and
+// its unacknowledged fragments are retransmitted in rounds on an RTO until
+// every fragment is acknowledged. This is where NetEm-style loss turns
+// into end-to-end latency inflation -- the mechanism behind the paper's
+// network-induced timeouts (Tn).
 
 #include <cstdint>
 #include <deque>
@@ -22,6 +23,9 @@
 
 namespace ff::net {
 
+/// ReliableChannel's constructor rejects (std::invalid_argument) rto <= 0,
+/// rto_backoff_cap < 0, an rto << rto_backoff_cap that overflows
+/// SimDuration, and max_retries < 0.
 struct TransportConfig {
   std::int64_t mtu_payload{kDefaultMtuPayload};
   SimDuration rto{100 * kMillisecond};       ///< base retransmit timeout
@@ -29,7 +33,9 @@ struct TransportConfig {
   /// without backoff, retransmissions of still-live messages can exceed
   /// link capacity and keep it collapsed after conditions recover.
   int rto_backoff_cap{5};
-  int max_retries{8};  ///< per fragment, before the message fails
+  /// Retransmission rounds per message before it fails (0: one send, no
+  /// retransmission).
+  int max_retries{8};
   SimDuration reassembly_timeout{3 * kSecond};
   std::size_t completed_history{4096};       ///< dedupe window at the receiver
 };
@@ -37,7 +43,7 @@ struct TransportConfig {
 struct ChannelStats {
   std::uint64_t messages_sent{0};
   std::uint64_t sends_succeeded{0};   ///< fully acked at the sender
-  std::uint64_t sends_failed{0};      ///< fragment retry budget exhausted
+  std::uint64_t sends_failed{0};      ///< retransmission rounds exhausted
   std::uint64_t sends_cancelled{0};
   std::uint64_t messages_delivered{0};///< reassembled at the receiver
   std::uint64_t fragments_sent{0};    ///< includes retransmissions
@@ -67,9 +73,22 @@ struct ChannelStats {
 /// acks ride `ack_link`. The owner must route incoming packets to
 /// `handle_data` / `handle_ack` (see DuplexPath).
 ///
+/// Retransmission runs in rounds, with one timer per in-flight message.
+/// Round k sends every still-unacked fragment in index order and schedules
+/// one event at rto << min(k, rto_backoff_cap); when it fires the message
+/// fails if k >= max_retries and otherwise round k + 1 runs. One timer per
+/// message is exact, not an approximation of one per fragment: a
+/// message's unacked fragments are sent in one loop at one time and
+/// re-sent together every round, so they always share one attempt and one
+/// deadline, and per-fragment timers would hold consecutive sequence
+/// numbers (only a round's first send can start an idle link, and it does
+/// so before the timer is armed). One event in their place keeps the
+/// (time, sequence) order of every other event, every RNG draw and every
+/// trace record; only the executed event count is lower.
+///
 /// Partitioning: the channel's two sides may live on different simulators
 /// (taken from the links). Sender-side operations -- send, cancel, the
-/// RTO timers, handle_ack -- execute on `data_link.simulator()`;
+/// round timers, handle_ack -- execute on `data_link.simulator()`;
 /// receiver-side operations -- handle_data, ack emission, reassembly GC
 /// -- on `ack_link.simulator()`. The two sides touch disjoint state
 /// (outbox vs inbox; disjoint ChannelStats fields), so a partitioned run
@@ -82,7 +101,8 @@ class ReliableChannel {
   using SendResultFn = std::function<void(std::uint64_t, bool)>;
 
   /// The sender side runs on `data_link.simulator()`, the receiver side
-  /// on `ack_link.simulator()` (identical in unpartitioned runs).
+  /// on `ack_link.simulator()` (identical in unpartitioned runs). Throws
+  /// std::invalid_argument on an invalid `config` (see TransportConfig).
   ReliableChannel(Link& data_link, Link& ack_link, std::uint64_t flow_id,
                   TransportConfig config, std::string name = "chan");
 
@@ -120,8 +140,8 @@ class ReliableChannel {
     std::uint32_t fragment_count{0};
     Bytes payload{};
     std::vector<bool> acked;
-    std::vector<int> retries;
     std::uint32_t acked_count{0};
+    int attempt{0};  ///< retransmission rounds run so far
   };
 
   struct InMessage {
@@ -132,9 +152,10 @@ class ReliableChannel {
     SimTime first_fragment_at{0};
   };
 
-  void transmit_fragment(std::uint64_t message_id, std::uint32_t fragment,
-                         int attempt);
-  void arm_rto(std::uint64_t message_id, std::uint32_t fragment, int attempt);
+  /// Sends every unacked fragment of `m` and arms the round's timer.
+  void send_round(std::uint64_t message_id, const OutMessage& m);
+  /// Round timer: fails the message or runs its next round.
+  void on_rto(std::uint64_t message_id);
   void send_ack(std::uint64_t message_id, std::uint32_t fragment,
                 std::uint32_t fragment_count);
   void remember_completed(std::uint64_t message_id);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "ff/util/logging.h"
@@ -17,7 +19,24 @@ ReliableChannel::ReliableChannel(Link& data_link, Link& ack_link,
       ack_link_(ack_link),
       flow_id_(flow_id),
       config_(config),
-      name_(std::move(name)) {}
+      name_(std::move(name)) {
+  if (config_.rto <= 0) {
+    throw std::invalid_argument("ReliableChannel: rto must be > 0");
+  }
+  if (config_.rto_backoff_cap < 0) {
+    throw std::invalid_argument(
+        "ReliableChannel: rto_backoff_cap must be >= 0");
+  }
+  constexpr SimDuration kMaxDuration = std::numeric_limits<SimDuration>::max();
+  if (config_.rto_backoff_cap >= std::numeric_limits<SimDuration>::digits ||
+      config_.rto > (kMaxDuration >> config_.rto_backoff_cap)) {
+    throw std::invalid_argument(
+        "ReliableChannel: rto << rto_backoff_cap overflows SimDuration");
+  }
+  if (config_.max_retries < 0) {
+    throw std::invalid_argument("ReliableChannel: max_retries must be >= 0");
+  }
+}
 
 void ReliableChannel::send(std::uint64_t message_id, Bytes payload) {
   assert(outbox_.find(message_id) == outbox_.end());
@@ -29,13 +48,8 @@ void ReliableChannel::send(std::uint64_t message_id, Bytes payload) {
   m.fragment_count = static_cast<std::uint32_t>(
       std::max<std::int64_t>((payload.count + mtu - 1) / mtu, 1));
   m.acked.assign(m.fragment_count, false);
-  m.retries.assign(m.fragment_count, 0);
-  const std::uint32_t count = m.fragment_count;
-  outbox_.emplace(message_id, std::move(m));
-
-  for (std::uint32_t f = 0; f < count; ++f) {
-    transmit_fragment(message_id, f, 0);
-  }
+  send_round(message_id,
+             outbox_.emplace(message_id, std::move(m)).first->second);
 }
 
 Bytes ReliableChannel::fragment_wire_size(const OutMessage& m,
@@ -49,60 +63,63 @@ Bytes ReliableChannel::fragment_wire_size(const OutMessage& m,
   return Bytes{chunk + kHeaderBytes};
 }
 
-void ReliableChannel::transmit_fragment(std::uint64_t message_id,
-                                        std::uint32_t fragment, int attempt) {
-  const auto it = outbox_.find(message_id);
-  if (it == outbox_.end() || it->second.acked[fragment]) return;
+void ReliableChannel::send_round(std::uint64_t message_id,
+                                 const OutMessage& m) {
+  for (std::uint32_t f = 0; f < m.fragment_count; ++f) {
+    if (m.acked[f]) continue;
+    Packet p;
+    p.flow_id = flow_id_;
+    p.message_id = message_id;
+    p.fragment_index = f;
+    p.fragment_count = m.fragment_count;
+    p.kind = PacketKind::kData;
+    p.size = fragment_wire_size(m, f);
 
-  Packet p;
-  p.flow_id = flow_id_;
-  p.message_id = message_id;
-  p.fragment_index = fragment;
-  p.fragment_count = it->second.fragment_count;
-  p.kind = PacketKind::kData;
-  p.size = fragment_wire_size(it->second, fragment);
-
-  ++stats_.fragments_sent;
-  if (attempt > 0) {
-    ++stats_.retransmissions;
-    if (sink_) {
-      sink_->emit(
-          obs::TraceEvent(send_sim_.now(), obs::ev::kNetRetransmit, name_)
-              .with_id(message_id)
-              .with("frag", fragment)
-              .with("attempt", attempt));
-    }
-  }
-  // A tail drop behaves exactly like random loss: the RTO repairs it.
-  (void)data_link_.send(p);
-  arm_rto(message_id, fragment, attempt);
-}
-
-void ReliableChannel::arm_rto(std::uint64_t message_id, std::uint32_t fragment,
-                              int attempt) {
-  const int shift = std::min(attempt, config_.rto_backoff_cap);
-  const SimDuration rto = config_.rto << shift;
-  send_sim_.schedule_in(rto, [this, message_id, fragment, attempt] {
-    const auto it = outbox_.find(message_id);
-    if (it == outbox_.end() || it->second.acked[fragment]) return;
-    if (it->second.retries[fragment] >= config_.max_retries) {
-      ++stats_.sends_failed;
-      FF_DEBUG(name_) << "message " << message_id << " failed (fragment "
-                      << fragment << " exhausted retries)";
+    ++stats_.fragments_sent;
+    if (m.attempt > 0) {
+      ++stats_.retransmissions;
       if (sink_) {
         sink_->emit(
-            obs::TraceEvent(send_sim_.now(), obs::ev::kNetSendFailed, name_)
+            obs::TraceEvent(send_sim_.now(), obs::ev::kNetRetransmit, name_)
                 .with_id(message_id)
-                .with("frag", fragment));
+                .with("frag", f)
+                .with("attempt", m.attempt));
       }
-      outbox_.erase(it);
-      (void)data_link_.purge(flow_id_, message_id);
-      if (on_send_result_) on_send_result_(message_id, false);
-      return;
     }
-    ++it->second.retries[fragment];
-    transmit_fragment(message_id, fragment, attempt + 1);
-  });
+    // A tail drop behaves exactly like random loss: the RTO repairs it.
+    (void)data_link_.send(p);
+  }
+  // One timer for the whole round: every fragment just sent shares its
+  // attempt and deadline (the lockstep argument in transport.h).
+  const int shift = std::min(m.attempt, config_.rto_backoff_cap);
+  send_sim_.schedule_in(config_.rto << shift,
+                        [this, message_id] { on_rto(message_id); });
+}
+
+void ReliableChannel::on_rto(std::uint64_t message_id) {
+  const auto it = outbox_.find(message_id);
+  // Fully acked or cancelled since the round went out.
+  if (it == outbox_.end()) return;
+  OutMessage& m = it->second;
+  if (m.attempt >= config_.max_retries) {
+    const auto first_unacked = static_cast<std::uint32_t>(
+        std::find(m.acked.begin(), m.acked.end(), false) - m.acked.begin());
+    ++stats_.sends_failed;
+    FF_DEBUG(name_) << "message " << message_id << " failed (fragment "
+                    << first_unacked << " exhausted retries)";
+    if (sink_) {
+      sink_->emit(
+          obs::TraceEvent(send_sim_.now(), obs::ev::kNetSendFailed, name_)
+              .with_id(message_id)
+              .with("frag", first_unacked));
+    }
+    outbox_.erase(it);
+    (void)data_link_.purge(flow_id_, message_id);
+    if (on_send_result_) on_send_result_(message_id, false);
+    return;
+  }
+  ++m.attempt;
+  send_round(message_id, m);
 }
 
 void ReliableChannel::cancel(std::uint64_t message_id) {

@@ -22,6 +22,14 @@ TEST(Experiment, ThrowsWithoutDevices) {
       std::invalid_argument);
 }
 
+TEST(Experiment, ThrowsOnInvalidTransport) {
+  Scenario s = small_scenario();
+  s.transport.rto_backoff_cap = -1;
+  EXPECT_THROW(
+      Experiment(s, make_controller_factory<control::LocalOnlyController>()),
+      std::invalid_argument);
+}
+
 TEST(Experiment, ThrowsOnNullControllerFactory) {
   EXPECT_THROW(Experiment(small_scenario(),
                           [](std::size_t) { return nullptr; }),
