@@ -1,10 +1,13 @@
 # Self-contained public headers: every header under src/*/include must
 # compile as its own translation unit, included first, with nothing but
-# the module include paths on the command line. ff-lint's header-hygiene
-# rule checks the statically checkable half of that contract (#pragma
-# once, canonical "ff/..." include paths); this target is the compiler's
-# half -- a header relying on a transitive include that goes away fails
-# here, not in whichever user TU happened to expose it.
+# the module include paths on the command line. A header relying on a
+# transitive include that goes away fails here, not in whichever user TU
+# happened to expose it. This is also the gate for harmful include
+# cycles: when one header of a cycle needs the other's definitions,
+# compiling the other on its own fails. ff-lint's header-hygiene rule
+# checks what no compile does (#pragma once, canonical "ff/..." include
+# spelling); its layering rule catches header-only back-edges, which
+# compile here because this target links every module.
 
 file(GLOB_RECURSE ff_public_headers CONFIGURE_DEPENDS
   "${PROJECT_SOURCE_DIR}/src/*/include/ff/*.h")

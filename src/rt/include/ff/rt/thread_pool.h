@@ -1,8 +1,8 @@
 #pragma once
 
-// Fixed-size worker pool. The bench harness uses it to run independent
-// experiments (controller variants, gain grids, parameter sweeps) across
-// cores -- each experiment owns its own Simulator, so runs share nothing.
+// Fixed-size worker pool. ff::sweep runs independent experiments
+// (controller variants, gain grids, parameter sweeps) on it across cores
+// -- each experiment owns its own Simulator, so runs share nothing.
 //
 // Tasks travel as sim::InlineTask, which accepts move-only callables, so
 // submit() wraps the work in a packaged_task directly instead of the
@@ -62,34 +62,5 @@ class ThreadPool {
 /// Outstanding futures must be collected first -- pending tasks still run
 /// during the join, but nothing may submit concurrently with shutdown.
 void shutdown_default_pool();
-
-/// Applies `fn` to every index [0, n) on an existing pool and collects
-/// results in order. `fn(i)` must be independent across i, and must not
-/// itself block on the same pool.
-template <class Fn>
-[[nodiscard]] auto parallel_map(ThreadPool& pool, std::size_t n, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
-  using R = std::invoke_result_t<Fn, std::size_t>;
-  std::vector<std::future<R>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([i, &fn] { return fn(i); }));
-  }
-  std::vector<R> results;
-  results.reserve(n);
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
-}
-
-/// Applies `fn` to every index [0, n) in parallel and collects results in
-/// order. `threads` = 0 runs on the shared default_pool(); a nonzero count
-/// spins up a dedicated pool of that size for this call.
-template <class Fn>
-[[nodiscard]] auto parallel_map(std::size_t n, Fn fn, std::size_t threads = 0)
-    -> std::vector<std::invoke_result_t<Fn, std::size_t>> {
-  if (threads == 0) return parallel_map(default_pool(), n, std::move(fn));
-  ThreadPool pool(threads);
-  return parallel_map(pool, n, std::move(fn));
-}
 
 }  // namespace ff::rt

@@ -63,10 +63,14 @@
 #include "ff/sim/event_queue.h"
 #include "ff/sim/inline_task.h"
 #include "ff/sim/simulator.h"
-#include "ff/util/spsc_queue.h"
 #include "ff/util/units.h"
 
 namespace ff::sim {
+
+/// Destructive-interference distance. Fixed at 64 (true for every
+/// mainstream x86/ARM core) rather than std::hardware_destructive_
+/// interference_size, whose value is an ABI hazard GCC warns about.
+inline constexpr std::size_t kCacheLine = 64;
 
 /// One cross-partition message: an action to run in partition
 /// `destination` at `deliver_at`, posted through edge `edge` at

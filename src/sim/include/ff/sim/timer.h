@@ -1,7 +1,7 @@
 #pragma once
 
-// Periodic timer built on the kernel: drives controller measurement ticks,
-// frame sources, heartbeats and schedule changes.
+// Periodic timer built on the kernel: drives the experiment's controller
+// measurement ticks and series sampling.
 
 #include <functional>
 
@@ -21,15 +21,13 @@ class PeriodicTimer {
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
 
   /// Starts ticking with the first tick `initial_delay` from now and every
-  /// `period` after. Restarting an active timer reschedules it.
+  /// `period` after. Restarting an active timer reschedules it. Throws
+  /// std::invalid_argument if `period` <= 0, which would re-fire forever
+  /// at one sim time.
   void start(SimDuration period, SimDuration initial_delay = 0);
 
   /// Stops future ticks; the tick counter is preserved.
   void stop();
-
-  /// Changes the period; takes effect after the next tick (or immediately
-  /// if stopped-then-started).
-  void set_period(SimDuration period) { period_ = period; }
 
   [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }

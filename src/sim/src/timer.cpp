@@ -1,5 +1,6 @@
 #include "ff/sim/timer.h"
 
+#include <stdexcept>
 #include <utility>
 
 namespace ff::sim {
@@ -11,6 +12,9 @@ PeriodicTimer::PeriodicTimer(Simulator& sim,
 PeriodicTimer::~PeriodicTimer() { stop(); }
 
 void PeriodicTimer::start(SimDuration period, SimDuration initial_delay) {
+  if (period <= 0) {
+    throw std::invalid_argument("PeriodicTimer: period must be positive");
+  }
   stop();
   period_ = period;
   active_ = true;

@@ -1,9 +1,10 @@
 #pragma once
 
-// Bounded blocking multi-producer/multi-consumer queue used by the
-// real-time backend's server worker pool. Shared state is annotated with
-// the ff/util/thread_annotations.h vocabulary and checked by both
-// clang's -Wthread-safety and ff-lint's `concurrency` rules.
+// Bounded blocking multi-producer/multi-consumer queue: the task
+// channel of rt::ThreadPool, which ff::sweep runs on. Shared state is
+// annotated with the ff/util/thread_annotations.h vocabulary, which
+// ff-lint's `unguarded-shared-state` rule requires and clang's
+// -Wthread-safety verifies.
 
 #include <cstddef>
 #include <deque>

@@ -6,7 +6,8 @@
 // attributes, so clang's -Wthread-safety cannot check code that uses them
 // directly; routing mutex-owning types through ff::Mutex / ff::MutexLock
 // makes FF_GUARDED_BY declarations enforceable by the compiler (the CI
-// `thread-safety` job) as well as by ff-lint's `concurrency` rules.
+// `thread-safety` job); ff-lint's `unguarded-shared-state` rule demands
+// that they exist.
 //
 // CondVar pairs with Mutex via std::condition_variable_any (Mutex is a
 // BasicLockable); wait() is annotated FF_REQUIRES(m), matching the

@@ -2,21 +2,19 @@
 
 // Thread-safety annotation vocabulary. The macros expand to clang's
 // thread-safety-analysis attributes when that compiler is in use and to
-// nothing everywhere else, so annotating a type costs nothing on gcc
-// while clang's `-Wthread-safety` (the CI `thread-safety` job runs it
-// with -Werror=thread-safety) and ff-lint's `concurrency` rule family
-// both verify the same declarations. The vocabulary deliberately mirrors
-// the names in the clang documentation (capability, guarded_by, acquire,
-// release) rather than the older lockable/exclusive_lock spelling.
+// nothing everywhere else, so annotating a type costs nothing on gcc.
+// Clang's `-Wthread-safety` (the CI `thread-safety` job runs it with
+// -Werror=thread-safety) verifies the declarations against actual lock
+// usage, including re-acquiring a held lock and unbalanced
+// acquire/release. The vocabulary deliberately mirrors the names in the
+// clang documentation (capability, guarded_by, acquire, release) rather
+// than the older lockable/exclusive_lock spelling, and holds only the
+// macros the tree uses.
 //
-// ff-lint consumes these tokens directly:
-//   - `unguarded-shared-state` requires every non-atomic, non-const data
-//     member of a mutex-owning class to carry FF_GUARDED_BY /
-//     FF_PT_GUARDED_BY (or an explicit `// ff-lint: allow(...)`).
-//   - `lock-order` folds FF_ACQUIRED_BEFORE declarations into the global
-//     lock-order DAG alongside lexically nested guard scopes.
-//   - `annotation-parity` checks that FF_ACQUIRE and FF_RELEASE balance
-//     across a capability's declared API.
+// ff-lint's `unguarded-shared-state` rule requires every non-atomic,
+// non-const data member of a mutex-owning class to carry FF_GUARDED_BY /
+// FF_PT_GUARDED_BY (or an explicit `// ff-lint: allow(...)`), so the
+// analysis has something to verify.
 //
 // See ff/util/sync.h for the annotated Mutex / MutexLock / CondVar types
 // that make the analysis effective on every standard library (libstdc++'s
@@ -43,15 +41,6 @@
 /// pointer itself may be freely readable, e.g. when const).
 #define FF_PT_GUARDED_BY(x) FF_THREAD_ANNOTATION(pt_guarded_by(x))
 
-/// Declared lock-order edge: this capability must be acquired before the
-/// listed ones. Feeds ff-lint's lock-order DAG and clang's checker.
-#define FF_ACQUIRED_BEFORE(...) \
-  FF_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-
-/// Declared lock-order edge in the other direction.
-#define FF_ACQUIRED_AFTER(...) \
-  FF_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
-
 /// Function requires the capability to be held on entry (and does not
 /// release it).
 #define FF_REQUIRES(...) \
@@ -65,18 +54,6 @@
 #define FF_RELEASE(...) \
   FF_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability only when returning `result`.
-#define FF_TRY_ACQUIRE(result, ...) \
-  FF_THREAD_ANNOTATION(try_acquire_capability(result, __VA_ARGS__))
-
 /// Function must NOT be called while holding the capability (it acquires
 /// it internally; calling with it held would self-deadlock).
 #define FF_EXCLUDES(...) FF_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the named capability.
-#define FF_RETURN_CAPABILITY(x) FF_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch: disables the analysis for one function. Use only with a
-/// comment explaining why the invariant holds anyway.
-#define FF_NO_THREAD_SAFETY_ANALYSIS \
-  FF_THREAD_ANNOTATION(no_thread_safety_analysis)

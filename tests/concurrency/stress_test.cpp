@@ -20,7 +20,6 @@
 #include "ff/sweep/sweep.h"
 #include "ff/util/mpmc_queue.h"
 #include "ff/util/sliding_window.h"
-#include "ff/util/spsc_queue.h"
 
 namespace {
 
@@ -141,80 +140,6 @@ TEST(MpmcStress, CloseRacingWithBlockedProducersAndConsumers) {
 }
 
 // ---------------------------------------------------------------------------
-// SpscQueue
-
-TEST(SpscStress, ProducerConsumerFifoAndConservation) {
-  constexpr std::uint64_t kCount = 200000;
-  ff::SpscQueue<std::uint64_t> queue(1024);
-
-  std::thread consumer([&] {
-    std::uint64_t expected_next = 0;
-    std::uint64_t sum = 0;
-    while (expected_next < kCount) {
-      if (auto v = queue.try_pop()) {
-        // SPSC guarantees FIFO: values arrive in push order.
-        ASSERT_EQ(*v, expected_next);
-        sum += *v;
-        ++expected_next;
-      } else {
-        std::this_thread::yield();  // single-core hosts need the handoff
-      }
-    }
-    EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
-  });
-
-  for (std::uint64_t i = 0; i < kCount;) {
-    if (queue.try_push(i)) {
-      ++i;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  consumer.join();
-}
-
-TEST(SpscStress, SizeApproxFromObserverThreadNeverWrapsNegative) {
-  // Regression for the size_approx() load order: reading head before tail
-  // let a concurrent pop wrap the masked subtraction, reporting ~mask_ for
-  // a near-empty queue. A capacity-64 queue rounds up to 128 slots
-  // (127 usable), and the producer keeps occupancy at <= 8, so any report
-  // above 64 means the subtraction wrapped. Also serves as a TSan exercise
-  // for a third thread touching both indices.
-  constexpr std::uint64_t kCount = 30000;
-  ff::SpscQueue<std::uint64_t> queue(64);
-  std::atomic<bool> done{false};
-
-  std::thread observer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      EXPECT_LE(queue.size_approx(), 64u);
-      std::this_thread::yield();
-    }
-  });
-  std::thread consumer([&] {
-    std::uint64_t seen = 0;
-    while (seen < kCount) {
-      if (queue.try_pop()) {
-        ++seen;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kCount;) {
-    // Cap in-flight items at 8 so the observer's bound is meaningful.
-    if (queue.size_approx() < 8 && queue.try_push(i)) {
-      ++i;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  consumer.join();
-  done.store(true, std::memory_order_release);
-  observer.join();
-  EXPECT_EQ(queue.size_approx(), 0u);  // quiescent: exact
-}
-
-// ---------------------------------------------------------------------------
 // ThreadPool
 
 TEST(ThreadPoolStress, SubmitStormFromManyThreads) {
@@ -243,25 +168,6 @@ TEST(ThreadPoolStress, SubmitStormFromManyThreads) {
   }
   for (auto& t : submitters) t.join();
   EXPECT_EQ(executed.load(), kSubmitters * kPerSubmitter);
-}
-
-TEST(ThreadPoolStress, ParallelMapConcurrentCallersShareDefaultPool) {
-  // Several threads fanning out through the shared default_pool() at once:
-  // exercises first-use construction racing with submission from siblings.
-  constexpr int kCallers = 4;
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([c] {
-      auto out = ff::rt::parallel_map(
-          200, [c](std::size_t i) { return i * 2 + static_cast<unsigned>(c); });
-      ASSERT_EQ(out.size(), 200u);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i], i * 2 + static_cast<unsigned>(c));
-      }
-    });
-  }
-  for (auto& t : callers) t.join();
 }
 
 TEST(ThreadPoolStress, DestructorDrainsInFlightTasksBeforeJoin) {
@@ -297,33 +203,22 @@ TEST(InlineTaskStress, OversizedCaptureConstructInvokeDestroyAcrossThreads) {
   static_assert(sizeof(Big) > ff::sim::InlineTask::kInlineCapacity);
 
   constexpr int kRounds = 2000;
-  ff::SpscQueue<ff::sim::InlineTask> to_invoke(64);
-  ff::SpscQueue<ff::sim::InlineTask> to_destroy(64);
+  ff::MpmcQueue<ff::sim::InlineTask> to_invoke(64);
+  ff::MpmcQueue<ff::sim::InlineTask> to_destroy(64);
   std::atomic<std::uint64_t> checksum{0};
+  int destroyed = 0;  // written by the destroyer only, read after join
 
   std::thread invoker([&] {
-    int invoked = 0;
-    while (invoked < kRounds) {
-      if (auto task = to_invoke.try_pop()) {
-        (*task)();  // runs on a different thread than construction
-        ++invoked;
-        while (!to_destroy.try_push(std::move(*task))) {
-          std::this_thread::yield();
-        }
-      } else {
-        std::this_thread::yield();
-      }
+    while (auto task = to_invoke.pop()) {
+      (*task)();  // runs on a different thread than construction
+      EXPECT_TRUE(to_destroy.push(std::move(*task)));
     }
+    to_destroy.close();
   });
   std::thread destroyer([&] {
-    int destroyed = 0;
-    while (destroyed < kRounds) {
-      if (auto task = to_destroy.try_pop()) {
-        task->reset();  // destroys the heap-allocated capture on thread C
-        ++destroyed;
-      } else {
-        std::this_thread::yield();
-      }
+    while (auto task = to_destroy.pop()) {
+      task->reset();  // destroys the heap-allocated capture on thread C
+      ++destroyed;
     }
   });
 
@@ -339,12 +234,12 @@ TEST(InlineTaskStress, OversizedCaptureConstructInvokeDestroyAcrossThreads) {
       for (std::uint64_t v : big.payload) sum += v;
       checksum.fetch_add(sum, std::memory_order_relaxed);
     });
-    while (!to_invoke.try_push(std::move(task))) {
-      std::this_thread::yield();
-    }
+    EXPECT_TRUE(to_invoke.push(std::move(task)));
   }
+  to_invoke.close();
   invoker.join();
   destroyer.join();
+  EXPECT_EQ(destroyed, kRounds);
   EXPECT_EQ(checksum.load(), expected);
 }
 

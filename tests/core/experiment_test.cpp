@@ -22,6 +22,24 @@ TEST(Experiment, ThrowsWithoutDevices) {
       std::invalid_argument);
 }
 
+// A non-positive timer period would re-fire forever at one sim time;
+// the run must reject it instead of hanging.
+TEST(Experiment, ZeroSamplePeriodThrows) {
+  Scenario s = small_scenario();
+  s.sample_period = 0;
+  Experiment e(s, make_controller_factory<control::LocalOnlyController>());
+  EXPECT_THROW((void)e.run(), std::invalid_argument);
+}
+
+TEST(Experiment, ZeroMeasurePeriodThrows) {
+  control::FrameFeedbackConfig config;
+  config.measure_period = 0;
+  Experiment e(small_scenario(),
+               make_controller_factory<control::FrameFeedbackController>(
+                   config));
+  EXPECT_THROW((void)e.run(), std::invalid_argument);
+}
+
 TEST(Experiment, ThrowsOnInvalidTransport) {
   Scenario s = small_scenario();
   s.transport.rto_backoff_cap = -1;

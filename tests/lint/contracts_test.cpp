@@ -186,6 +186,25 @@ TEST(Nodiscard, DiscardedCallFires) {
   ASSERT_EQ(r.findings.size(), 1u);
   EXPECT_EQ(r.findings[0].rule, "nodiscard-contract");
   EXPECT_NE(r.findings[0].message.find("discard"), std::string::npos);
+
+  // A bench/ call into a src/ API. bench/ and examples/ do not link
+  // ff_warnings, so the compiler's unused-result diagnostic stays a
+  // warning there even with FF_WARNINGS_AS_ERRORS; only this rule
+  // rejects the discard.
+  const LintResult b = lint_files(
+      {{"src/util/include/ff/util/q.h",
+        "#pragma once\n"
+        "struct Q {\n"
+        "  [[nodiscard]] bool try_push(int v);\n"
+        "};\n"},
+       {"bench/x.cpp",
+        "#include \"ff/util/q.h\"\n"
+        "void f(Q& q) {\n"
+        "  q.try_push(1);\n"
+        "}\n"}});
+  ASSERT_EQ(b.findings.size(), 1u);
+  EXPECT_EQ(rules_of(b),
+            (std::set<FileRule>{{"bench/x.cpp", "nodiscard-contract"}}));
 }
 
 TEST(Nodiscard, ConsumedAndVoidCastAreClean) {

@@ -1,7 +1,7 @@
-// ff-lint rule engine tests: in-memory single-rule checks, the on-disk
-// fixture corpus under tests/lint/fixtures (driven both through the
-// library and by invoking the real CLI binary), and the embedded
-// self-test corpus.
+// ff-lint rule engine tests: in-memory single-rule checks, and the
+// small on-disk trees under tests/lint/fixtures that the disk loader and
+// the real CLI binary (exit codes, SARIF) run on. The rule corpus itself
+// is the embedded one, run by the lint.self_test ctest entry.
 
 #include <gtest/gtest.h>
 
@@ -222,68 +222,6 @@ TEST(Concurrency, UnguardedSharedState) {
                   .findings.empty());
 }
 
-TEST(Concurrency, LockOrderCycleAcrossFunctions) {
-  const auto r = lint_one("src/rt/src/x.cpp",
-                          "ff::Mutex g_a;\n"
-                          "ff::Mutex g_b;\n"
-                          "void f() {\n"
-                          "  ff::MutexLock l1(g_a);\n"
-                          "  ff::MutexLock l2(g_b);\n"
-                          "}\n"
-                          "void g() {\n"
-                          "  ff::MutexLock l1(g_b);\n"
-                          "  ff::MutexLock l2(g_a);\n"
-                          "}\n");
-  EXPECT_EQ(rules_of(r),
-            (std::set<FileRule>{{"src/rt/src/x.cpp", "lock-order"}}));
-  // Consistent order: clean.
-  EXPECT_TRUE(lint_one("src/rt/src/x.cpp",
-                       "ff::Mutex g_a;\n"
-                       "ff::Mutex g_b;\n"
-                       "void f() {\n"
-                       "  ff::MutexLock l1(g_a);\n"
-                       "  ff::MutexLock l2(g_b);\n"
-                       "}\n"
-                       "void g() {\n"
-                       "  ff::MutexLock l1(g_a);\n"
-                       "  ff::MutexLock l2(g_b);\n"
-                       "}\n")
-                  .findings.empty());
-}
-
-TEST(Concurrency, DeclaredOrderContradictionAndParity) {
-  // FF_ACQUIRED_BEFORE edges that contradict each other form a cycle.
-  const auto r = lint_one(
-      "src/net/src/x.cpp",
-      "class Channel {\n"
-      "  ff::Mutex send_ FF_ACQUIRED_BEFORE(recv_);\n"
-      "  ff::Mutex recv_ FF_ACQUIRED_BEFORE(send_);\n"
-      "};\n");
-  EXPECT_EQ(rules_of(r),
-            (std::set<FileRule>{{"src/net/src/x.cpp", "lock-order"}}));
-  // FF_ACQUIRE without FF_RELEASE anywhere in the class.
-  const auto p = lint_one("src/net/src/y.cpp",
-                          "class Gate {\n"
-                          " public:\n"
-                          "  void enter() FF_ACQUIRE(mutex_);\n"
-                          " private:\n"
-                          "  ff::Mutex mutex_;\n"
-                          "};\n");
-  EXPECT_EQ(rules_of(p),
-            (std::set<FileRule>{{"src/net/src/y.cpp",
-                                 "annotation-parity"}}));
-  // Balanced pair: clean.
-  EXPECT_TRUE(lint_one("src/net/src/y.cpp",
-                       "class Gate {\n"
-                       " public:\n"
-                       "  void enter() FF_ACQUIRE(mutex_);\n"
-                       "  void leave() FF_RELEASE(mutex_);\n"
-                       " private:\n"
-                       "  ff::Mutex mutex_;\n"
-                       "};\n")
-                  .findings.empty());
-}
-
 // ---------------------------------------------------------------------
 // Call-graph determinism reachability, in memory.
 
@@ -364,56 +302,26 @@ TEST(Architecture, HeaderHygiene) {
                   .findings.empty());
 }
 
-TEST(Architecture, ThreeHeaderCycleReportedOnce) {
-  const std::vector<std::pair<std::string, std::string>> files = {
-      {"src/net/include/ff/net/a.h",
-       "#pragma once\n#include \"ff/net/b.h\"\n"},
-      {"src/net/include/ff/net/b.h",
-       "#pragma once\n#include \"ff/net/c.h\"\n"},
-      {"src/net/include/ff/net/c.h",
-       "#pragma once\n#include \"ff/net/a.h\"\n"},
-  };
-  const LintResult r = lint_files(files);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].rule, "include-cycle");
-  EXPECT_NE(r.findings[0].message.find("ff/net/a.h -> ff/net/b.h -> "
-                                       "ff/net/c.h -> ff/net/a.h"),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------
-// Fixture corpus on disk + the embedded self-test corpus.
+// The on-disk trees, loaded from disk with repo-relative paths.
 
 TEST(Fixtures, ViolationTreeFindsExactlyTheSeededRules) {
   const LintResult r = lint_tree(std::string(FF_LINT_FIXTURES) +
                                  "/violations");
   const std::set<FileRule> expected = {
-      {"bench/reach_wall.cpp", "determinism-reachability"},
-      {"src/control/include/ff/control/parity.h", "annotation-parity"},
-      {"src/control/stale.cpp", "stale-allow"},
-      {"src/core/include/ff/core/untidy.h", "header-hygiene"},
       {"src/core/invalidate.cpp", "container-invalidation"},
-      {"src/device/src/peers.cpp", "unordered-iteration"},
-      {"src/net/entropy.cpp", "ambient-entropy"},
-      {"src/net/include/ff/net/loop_b.h", "include-cycle"},
-      {"src/rt/order_cycle.cpp", "lock-order"},
-      {"src/server/discard.cpp", "nodiscard-contract"},
-      {"src/server/ptr_key.cpp", "unordered-pointer-key"},
-      {"src/sim/alloc.cpp", "raw-allocation"},
-      {"src/sim/macro_wall.cpp", "ambient-entropy"},
       {"src/sim/wall_clock.cpp", "wall-clock"},
-      {"src/sweep/fingerprint_gap.cpp", "fingerprint-completeness"},
-      {"src/util/include/ff/util/guard_gap.h", "unguarded-shared-state"},
-      {"src/util/src/layer_up.cpp", "layering"},
   };
   EXPECT_EQ(rules_of(r), expected);
 }
 
 TEST(Fixtures, CleanTreeIsClean) {
+  // Its one file carries a load-bearing allow(), so stale-allow stays
+  // quiet too.
   const LintResult r = lint_tree(std::string(FF_LINT_FIXTURES) + "/clean");
   EXPECT_TRUE(r.findings.empty())
       << r.findings.front().file << ": " << r.findings.front().message;
-  EXPECT_EQ(r.files_scanned, 12u);
+  EXPECT_EQ(r.files_scanned, 1u);
 }
 
 // The annotated production tree is lint-clean, and not vacuously so:
@@ -440,14 +348,6 @@ TEST(Fixtures, RealAnnotationsAreLoadBearing) {
   EXPECT_EQ(r.findings[0].rule, "unguarded-shared-state");
 }
 
-TEST(SelfTest, EmbeddedCorpusPasses) {
-  testing::internal::CaptureStdout();
-  const int rc = self_test(std::cout);
-  const std::string out = testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0) << out;
-  EXPECT_NE(out.find("self-test: OK"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // The CLI binary itself, end to end.
 
@@ -457,8 +357,6 @@ int run_cli(const std::string& args) {
   const int status = std::system(cmd.c_str());  // NOLINT
   return status < 0 ? status : WEXITSTATUS(status);
 }
-
-TEST(Cli, SelfTestExitsZero) { EXPECT_EQ(run_cli("--self-test"), 0); }
 
 TEST(Cli, ViolationFixtureExitsOne) {
   EXPECT_EQ(run_cli("--root " + std::string(FF_LINT_FIXTURES) +
@@ -473,37 +371,6 @@ TEST(Cli, CleanFixtureExitsZero) {
 
 TEST(Cli, MissingTreeExitsTwo) {
   EXPECT_EQ(run_cli("--root /nonexistent-ff-lint-root"), 2);
-}
-
-TEST(Cli, JsonOutputListsFindings) {
-  const std::string path = testing::TempDir() + "ff_lint_findings.json";
-  EXPECT_EQ(run_cli("--root " + std::string(FF_LINT_FIXTURES) +
-                    "/violations --json=" + path),
-            1);
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  EXPECT_NE(json.find("\"findings\":["), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"lock-order\""), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"determinism-reachability\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"files_scanned\":"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Cli, JsonOutputOnCleanTreeIsEmpty) {
-  const std::string path = testing::TempDir() + "ff_lint_clean.json";
-  EXPECT_EQ(run_cli("--root " + std::string(FF_LINT_FIXTURES) +
-                    "/clean --json=" + path),
-            0);
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  EXPECT_NE(ss.str().find("\"findings\":[]"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Cli, SarifOutputListsRulesAndResults) {
@@ -523,7 +390,7 @@ TEST(Cli, SarifOutputListsRulesAndResults) {
     EXPECT_NE(sarif.find("{\"id\":\"" + rule + "\"}"), std::string::npos)
         << rule;
   }
-  EXPECT_NE(sarif.find("\"ruleId\":\"lock-order\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleId\":\"wall-clock\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\":\"container-invalidation\""),
             std::string::npos);
   EXPECT_NE(sarif.find("\"uri\":\"src/core/invalidate.cpp\""),
@@ -545,7 +412,14 @@ TEST(Cli, SarifOutputOnCleanTreeHasNoResults) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, UnknownFlagExitsTwo) { EXPECT_EQ(run_cli("--bogus"), 2); }
+TEST(Cli, UnknownFlagExitsTwo) {
+  EXPECT_EQ(run_cli("--bogus"), 2);
+  // SARIF is the one machine-readable report: --json is an unknown
+  // argument, rejected before any scan even on a clean tree.
+  EXPECT_EQ(run_cli("--root " + std::string(FF_LINT_FIXTURES) +
+                    "/clean --json=findings.json"),
+            2);
+}
 
 }  // namespace
 }  // namespace ff::lint

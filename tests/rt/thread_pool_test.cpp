@@ -121,43 +121,5 @@ TEST(DefaultPool, ShutdownDrainsQueuedTasks) {
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ParallelMap, ResultsInOrder) {
-  const auto results = parallel_map(20, [](std::size_t i) { return i * i; }, 4);
-  ASSERT_EQ(results.size(), 20u);
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(results[i], i * i);
-}
-
-TEST(ParallelMap, EmptyInput) {
-  const auto results = parallel_map(0, [](std::size_t i) { return i; }, 2);
-  EXPECT_TRUE(results.empty());
-}
-
-TEST(ParallelMap, WorksWithComplexResults) {
-  const auto results = parallel_map(
-      5, [](std::size_t i) { return std::string(i + 1, 'x'); }, 2);
-  EXPECT_EQ(results[4], "xxxxx");
-}
-
-TEST(ParallelMap, ZeroThreadsUsesDefaultPool) {
-  const auto results = parallel_map(10, [](std::size_t i) { return i + 1; });
-  ASSERT_EQ(results.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(results[i], i + 1);
-}
-
-TEST(ParallelMap, ReusesExistingPoolAcrossCalls) {
-  // The bench-loop pattern: many sweeps on one pool, no per-call thread
-  // spawn.
-  ThreadPool pool(2);
-  for (int sweep = 0; sweep < 5; ++sweep) {
-    const auto results =
-        parallel_map(pool, 8, [&](std::size_t i) { return i * (sweep + 1); });
-    ASSERT_EQ(results.size(), 8u);
-    for (std::size_t i = 0; i < 8; ++i) {
-      EXPECT_EQ(results[i], i * static_cast<std::size_t>(sweep + 1));
-    }
-  }
-  EXPECT_EQ(pool.thread_count(), 2u);
-}
-
 }  // namespace
 }  // namespace ff::rt

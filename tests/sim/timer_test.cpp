@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace ff::sim {
@@ -74,6 +75,15 @@ TEST(PeriodicTimer, RestartReschedules) {
   EXPECT_EQ(fire_times[0], kSecond);
   EXPECT_EQ(fire_times[1], 3 * kSecond + 1);
   EXPECT_EQ(fire_times[2], 5 * kSecond + 1);
+}
+
+// A non-positive period would re-fire forever at one sim time.
+TEST(PeriodicTimer, StartRejectsNonPositivePeriod) {
+  Simulator sim;
+  PeriodicTimer t(sim, [](std::uint64_t) {});
+  EXPECT_THROW(t.start(0), std::invalid_argument);
+  EXPECT_THROW(t.start(-kSecond, kSecond), std::invalid_argument);
+  EXPECT_FALSE(t.active());
 }
 
 TEST(PeriodicTimer, DestructionCancelsPending) {

@@ -2,83 +2,19 @@
 
 #include <atomic>
 #include <memory>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "ff/util/mpmc_queue.h"
-#include "ff/util/spsc_queue.h"
 
 namespace ff {
 namespace {
 
-TEST(SpscQueue, PushPopSingleThread) {
-  SpscQueue<int> q(8);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_EQ(q.try_pop(), 1);
-  EXPECT_EQ(q.try_pop(), 2);
-  EXPECT_EQ(q.try_pop(), std::nullopt);
-}
-
-TEST(SpscQueue, FillsToCapacity) {
-  SpscQueue<int> q(4);
-  int pushed = 0;
-  while (q.try_push(pushed)) ++pushed;
-  EXPECT_GE(pushed, 4);
-  EXPECT_EQ(q.size_approx(), static_cast<std::size_t>(pushed));
-}
-
-TEST(SpscQueue, FifoOrderAcrossWrap) {
-  SpscQueue<int> q(4);
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(q.try_push(round * 2));
-    EXPECT_TRUE(q.try_push(round * 2 + 1));
-    EXPECT_EQ(q.try_pop(), round * 2);
-    EXPECT_EQ(q.try_pop(), round * 2 + 1);
-  }
-}
-
-TEST(SpscQueue, ConcurrentProducerConsumerDeliversAll) {
-  SpscQueue<int> q(64);
-  constexpr int kCount = 100000;
-  std::atomic<long long> sum{0};
-
-  std::thread consumer([&] {
-    int received = 0;
-    while (received < kCount) {
-      if (auto v = q.try_pop()) {
-        sum += *v;
-        ++received;
-      }
-    }
-  });
-  for (int i = 1; i <= kCount; ++i) {
-    while (!q.try_push(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(sum.load(), static_cast<long long>(kCount) * (kCount + 1) / 2);
-}
-
 // Regression: try_push used to take its argument by value, so a push that
-// FAILED (queue full) still moved-from the caller's object; retry loops
-// over move-only types then enqueued an empty husk (a null InlineTask ->
-// crash on invoke). A failed try_push must leave the value untouched.
-TEST(SpscQueue, FailedTryPushDoesNotConsumeMoveOnlyValue) {
-  SpscQueue<std::unique_ptr<int>> q(2);
-  auto cap = q.size_approx();  // fill to the real (rounded) capacity
-  while (q.try_push(std::make_unique<int>(0))) cap = q.size_approx();
-
-  auto value = std::make_unique<int>(42);
-  EXPECT_FALSE(q.try_push(std::move(value)));
-  ASSERT_NE(value, nullptr) << "failed try_push consumed the value";
-  EXPECT_EQ(*value, 42);
-
-  (void)q.try_pop();  // free one slot; the preserved value goes through
-  EXPECT_TRUE(q.try_push(std::move(value)));
-  EXPECT_EQ(q.size_approx(), cap);
-}
-
+// FAILED (queue full or closed) still moved-from the caller's object;
+// retry loops over move-only types then enqueued an empty husk (a null
+// InlineTask -> crash on invoke). A failed try_push must leave the value
+// untouched.
 TEST(MpmcQueue, FailedTryPushDoesNotConsumeMoveOnlyValue) {
   MpmcQueue<std::unique_ptr<int>> q(1);
   EXPECT_TRUE(q.try_push(std::make_unique<int>(1)));
@@ -91,20 +27,6 @@ TEST(MpmcQueue, FailedTryPushDoesNotConsumeMoveOnlyValue) {
   EXPECT_FALSE(q.try_push(std::move(value)));  // closed
   ASSERT_NE(value, nullptr) << "closed try_push consumed the value";
   EXPECT_EQ(*value, 42);
-}
-
-// Regression: size_approx() read head_ before tail_, so a pop landing
-// between the two loads wrapped the masked subtraction and reported a
-// near-full queue for a near-empty one. Quiescent exactness pins the fix.
-TEST(SpscQueue, SizeApproxExactWhenQuiescent) {
-  SpscQueue<int> q(8);
-  EXPECT_EQ(q.size_approx(), 0u);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
-  EXPECT_EQ(q.size_approx(), 5u);
-  (void)q.try_pop();
-  (void)q.try_pop();
-  EXPECT_EQ(q.size_approx(), 3u);
-  EXPECT_FALSE(q.empty_approx());
 }
 
 TEST(MpmcQueue, BlockingPopReceivesPush) {

@@ -1,25 +1,22 @@
 #pragma once
 
-// Concurrency rules for ff-lint: symbol-aware checks over the thread-
-// safety annotation vocabulary of ff/util/thread_annotations.h. The
+// Class model for ff-lint, and the concurrency rule built on it. The
 // lexer's token stream is parsed just far enough to recover class
-// bodies, member declarations, method annotation lists and lexically
-// nested lock-guard scopes -- no full C++ parse, but real brace/paren
-// balancing, so multi-line declarations and nested classes are handled.
+// bodies and their data-member declarations -- no full C++ parse, but
+// real brace/paren balancing, so multi-line declarations and nested
+// classes are handled. Two rules read the model: unguarded-shared-state
+// here and fingerprint-completeness (contracts.h).
 //
-// Rules (scope: all of src/):
+// Rule (scope: src/ and tools/lint/):
 //   unguarded-shared-state  a class that owns a mutex has a member that
 //                           is neither FF_GUARDED_BY/FF_PT_GUARDED_BY,
 //                           a synchronization primitive, atomic, const,
 //                           nor static
-//   lock-order              the acquisition-order graph -- edges from
-//                           FF_ACQUIRED_BEFORE/FF_ACQUIRED_AFTER
-//                           declarations plus lexically nested guard
-//                           scopes (lock_guard/unique_lock/scoped_lock/
-//                           MutexLock) -- contains a cycle
-//   annotation-parity       a capability has FF_ACQUIRE methods but no
-//                           FF_RELEASE in the same class's declared
-//                           API, or vice versa
+//
+// Clang's -Wthread-safety (the CI `thread-safety` job) verifies the
+// annotations against actual lock usage, including re-acquiring a held
+// lock and unbalanced acquire/release; this rule only demands that
+// they exist.
 //
 // Escape hatch: `// ff-lint: allow(<rule>) <reason>` on the offending
 // statement (any of its physical lines) or the comment block above it.
@@ -39,38 +36,23 @@ struct MemberDecl {
   bool guarded{false};  ///< carries FF_GUARDED_BY / FF_PT_GUARDED_BY
   bool exempt{false};   ///< primitive, atomic, const, static, reference
   bool numeric{false};  ///< arithmetic type (incl. SimTime/SimDuration)
-  bool counter{false};  ///< unsigned-integer type (conservation counter)
 };
 
-/// One FF_ACQUIRE / FF_RELEASE annotation on a method declaration.
-struct MethodAnnotation {
-  std::string capability;  ///< normalized argument ("<self>" when empty)
-  int line{1};
-};
-
-/// One class (or struct) recovered from a file under src/.
+/// One class (or struct) recovered from a file.
 struct ClassInfo {
   std::string name;  ///< "Outer::Inner" for nested classes
-  std::string file;  ///< repo-relative path
-  int line{1};
   bool scoped_capability{false};  ///< declared FF_SCOPED_CAPABILITY
-  std::vector<std::string> mutex_members;  ///< capability-typed members
+  bool owns_mutex{false};         ///< has a mutex-typed data member
   std::vector<MemberDecl> members;
-  std::vector<MethodAnnotation> acquires;
-  std::vector<MethodAnnotation> releases;
-  /// FF_ACQUIRED_BEFORE/AFTER edges as (held-first, held-second) pairs
-  /// of qualified lock names, with the declaration line.
-  std::vector<std::pair<std::pair<std::string, std::string>, int>> order;
 };
 
 /// Parses every class body in `file` (token-level; see file comment).
 /// Exposed for tests.
 [[nodiscard]] std::vector<ClassInfo> parse_classes(const SourceFile& file);
 
-/// Runs unguarded-shared-state, lock-order and annotation-parity over
-/// the whole tree. allow() directives are already applied; findings
-/// they dropped are appended to `suppressed` (when non-null) for the
-/// stale-allow rule.
+/// Runs unguarded-shared-state over the whole tree. allow() directives
+/// are already applied; findings they dropped are appended to
+/// `suppressed` (when non-null) for the stale-allow rule.
 [[nodiscard]] std::vector<Finding> check_concurrency(
     const SourceTree& tree, std::vector<Finding>* suppressed = nullptr);
 

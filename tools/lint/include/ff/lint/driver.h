@@ -1,10 +1,10 @@
 #pragma once
 
 // ff-lint driver: loads the source tree (from disk or from in-memory
-// fixtures), runs the determinism and architecture rule families, and
-// hosts the embedded self-test corpus that seeds at least one violation
-// per rule -- including the macro-wrapped and cross-file cases the
-// retired regex linter (tools/determinism_lint.py) provably missed.
+// fixtures), runs every rule family, writes the SARIF report, and hosts
+// the embedded self-test corpus that seeds at least one violation per
+// rule -- including the macro-wrapped and cross-file cases the retired
+// regex linter (tools/determinism_lint.py) provably missed.
 
 #include <cstddef>
 #include <iosfwd>
@@ -32,16 +32,10 @@ struct LintResult {
 /// src/ directory.
 [[nodiscard]] LintResult lint_tree(const std::string& root);
 
-/// Writes the findings as one JSON document:
-///   {"findings":[{"file":...,"line":N,"rule":...,"message":...},...],
-///    "files_scanned":N}
-/// Machine-readable companion to the human output; CI attaches it as an
-/// artifact and feeds the text output to a GitHub problem matcher.
-void write_findings_json(const LintResult& result, std::ostream& os);
-
 /// Writes the findings as a SARIF 2.1.0 document (one run, one result
 /// per finding, rule metadata from rule_registry()) so CI can upload
-/// them to GitHub code scanning alongside the JSON artifact.
+/// them to GitHub code scanning; the text output on stdout feeds the
+/// GitHub problem matcher.
 void write_findings_sarif(const LintResult& result, std::ostream& os);
 
 /// Every rule id ff-lint can emit, in documentation order. The
@@ -49,15 +43,8 @@ void write_findings_sarif(const LintResult& result, std::ostream& os);
 /// finding; the SARIF writer publishes the same list as rule metadata.
 [[nodiscard]] const std::vector<std::string>& rule_registry();
 
-/// Embedded fixture corpus, reused by --self-test and tests/lint.
-[[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
-self_test_corpus();
-
-/// (file, rule) pairs the corpus must produce -- exactly.
-[[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
-self_test_expected();
-
-/// Runs the corpus through the linter and reports PASS/FAIL per expected
+/// Runs the embedded fixture corpus -- the one corpus that seeds every
+/// rule -- through the linter and reports PASS/FAIL per expected
 /// finding plus any false positives. Returns 0 on success.
 int self_test(std::ostream& os);
 

@@ -3,16 +3,15 @@
 // Architecture rules for ff-lint: the include graph of src/ must match
 // the module layering DAG documented in DESIGN.md (which mirrors the
 // CMake link graph -- a module may include headers only of modules it
-// transitively links), contain no include cycles among public headers,
-// and every public header must be hygienic (a #pragma once guard and
-// canonical "ff/<module>/<name>.h" include paths only, so the
-// self-contained-header compile smoke and this rule agree on what a
-// public header may depend on).
+// transitively links), and every public header must be hygienic (a
+// #pragma once guard and canonical "ff/<module>/<name>.h" include paths
+// only). Include cycles need no rule of their own: `layering` rules out
+// cross-module cycles, and a cycle in which one header needs the
+// other's definitions fails the ff_header_smoke compile.
 //
 // Rules:
 //   layering        include edge src/<a> -> ff/<b>/... not permitted by
 //                   the layering DAG
-//   include-cycle   cycle in the public-header include graph
 //   header-hygiene  public header without #pragma once, or with a
 //                   non-canonical (relative / angled-ff) include
 
@@ -31,7 +30,7 @@ namespace ff::lint {
 /// closure of the CMake link graph; see DESIGN.md section 6.
 [[nodiscard]] const std::map<std::string, std::set<std::string>>& layering();
 
-/// Runs layering, include-cycle and header-hygiene over the whole tree.
+/// Runs layering and header-hygiene over the whole tree.
 /// allow() directives are already applied; returned findings are real.
 /// Findings dropped by an allow() directive are appended to
 /// `suppressed` (when non-null) for the stale-allow rule.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <set>
 
 namespace ff::lint {
@@ -20,11 +19,9 @@ bool is_class_kw(const Token& t) {
 /// not code: their '(' must not make a declaration look like a function.
 bool is_annotation_macro(const std::string& s) {
   static const std::set<std::string> kMacros = {
-      "FF_CAPABILITY",      "FF_SCOPED_CAPABILITY", "FF_GUARDED_BY",
-      "FF_PT_GUARDED_BY",   "FF_ACQUIRED_BEFORE",   "FF_ACQUIRED_AFTER",
-      "FF_REQUIRES",        "FF_ACQUIRE",           "FF_RELEASE",
-      "FF_TRY_ACQUIRE",     "FF_EXCLUDES",          "FF_RETURN_CAPABILITY",
-      "FF_THREAD_ANNOTATION"};
+      "FF_CAPABILITY", "FF_SCOPED_CAPABILITY", "FF_GUARDED_BY",
+      "FF_PT_GUARDED_BY", "FF_REQUIRES", "FF_ACQUIRE", "FF_RELEASE",
+      "FF_EXCLUDES", "FF_THREAD_ANNOTATION"};
   return kMacros.count(s) > 0;
 }
 
@@ -43,31 +40,21 @@ bool is_sync_type_token(const std::string& s) {
 }
 
 /// Mutex-like type tokens: owning one of these makes a class subject to
-/// the unguarded-shared-state rule, and names such a member a capability
-/// other locks can order against.
+/// the unguarded-shared-state rule.
 bool is_mutex_type_token(const std::string& s) {
   static const std::set<std::string> kTypes = {
       "mutex", "shared_mutex", "recursive_mutex", "timed_mutex", "Mutex"};
   return kTypes.count(s) > 0;
 }
 
-/// Unsigned-integer type tokens: fields of these types in aggregate
-/// result structs are conservation counters for fingerprint-completeness.
-bool is_counter_type_token(const std::string& s) {
-  static const std::set<std::string> kTypes = {
-      "unsigned", "uint8_t", "uint16_t", "uint32_t", "uint64_t", "size_t",
-      "uintptr_t"};
-  return kTypes.count(s) > 0;
-}
-
 /// Arithmetic type tokens (the repo's sim-time aliases included):
 /// fields of these types must be mixed into the result fingerprint.
 bool is_numeric_type_token(const std::string& s) {
-  if (is_counter_type_token(s)) return true;
   static const std::set<std::string> kTypes = {
-      "double", "float", "int", "long", "short", "signed", "int8_t",
-      "int16_t", "int32_t", "int64_t", "ptrdiff_t", "intptr_t", "SimTime",
-      "SimDuration"};
+      "double", "float", "int", "long", "short", "signed", "unsigned",
+      "int8_t", "int16_t", "int32_t", "int64_t", "uint8_t", "uint16_t",
+      "uint32_t", "uint64_t", "size_t", "ptrdiff_t", "intptr_t",
+      "uintptr_t", "SimTime", "SimDuration"};
   return kTypes.count(s) > 0;
 }
 
@@ -81,43 +68,6 @@ std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t open,
   return toks.size() - 1;
 }
 
-/// Joins the argument tokens of an annotation or guard constructor into
-/// a normalized lock name: qualifier tokens are kept, value-category
-/// noise (&, *, this->) is dropped. "" stays "" for the caller to map.
-std::string normalize_lock_expr(const std::vector<const Token*>& expr) {
-  std::string name;
-  for (const Token* t : expr) {
-    const std::string& s = t->text;
-    if (s == "&" || s == "*" || s == "this" || s == "->" || s == ".") {
-      continue;
-    }
-    name += s;
-  }
-  return name;
-}
-
-/// Splits the tokens between `open` ('(') and its match into top-level
-/// comma-separated argument expressions.
-std::vector<std::vector<const Token*>> split_args(
-    const std::vector<Token>& toks, std::size_t open, std::size_t close) {
-  std::vector<std::vector<const Token*>> args;
-  std::vector<const Token*> cur;
-  int paren = 0;
-  for (std::size_t j = open + 1; j < close; ++j) {
-    const std::string& s = toks[j].text;
-    if (s == "(") ++paren;
-    if (s == ")") --paren;
-    if (s == "," && paren == 0) {
-      args.push_back(cur);
-      cur.clear();
-      continue;
-    }
-    cur.push_back(&toks[j]);
-  }
-  if (!cur.empty()) args.push_back(cur);
-  return args;
-}
-
 /// Recursive-descent class parser over the token stream. Tracks just
 /// enough structure (statement boundaries, balanced groups, ctor-init
 /// lists) to classify each class-body statement as a nested class, a
@@ -125,7 +75,7 @@ std::vector<std::vector<const Token*>> split_args(
 class ClassParser {
  public:
   ClassParser(const SourceFile& file, std::vector<ClassInfo>* out)
-      : file_(file), toks_(file.lex.tokens), out_(out) {}
+      : toks_(file.lex.tokens), out_(out) {}
 
   void run() {
     std::size_t i = 0;
@@ -163,7 +113,7 @@ class ClassParser {
       }
     }
     if (j >= toks_.size() || name.empty()) return j + 1;
-    return parse_body(j, name, scoped, toks_[i].line);
+    return parse_body(j, name, scoped);
   }
 
   bool seen_base_colon(std::size_t from, std::size_t to) const {
@@ -179,11 +129,9 @@ class ClassParser {
   /// Parses a class body starting at the '{' at `open`; returns the
   /// index past the closing '}' (and its ';' if present).
   std::size_t parse_body(std::size_t open, const std::string& name,
-                         bool scoped, int line) {
+                         bool scoped) {
     ClassInfo info;
     info.name = prefix_.empty() ? name : prefix_ + "::" + name;
-    info.file = file_.rel;
-    info.line = line;
     info.scoped_capability = scoped;
 
     const std::string saved_prefix = prefix_;
@@ -279,8 +227,7 @@ class ClassParser {
         continue;
       } else if (u.text == "{" && angle == 0) {
         if (saw_paren || saw_operator) {
-          // Function body: record annotations from the header, skip it.
-          harvest_method_annotations(stmt, info);
+          // Function body: skip it.
           std::size_t after = skip_balanced(toks_, j, "{", "}") + 1;
           if (after < end && toks_[after].text == ";") ++after;
           return after;
@@ -292,10 +239,9 @@ class ClassParser {
       stmt.push_back(j);
       ++j;
     }
-    // Statement ended at ';' (or ran to the class end).
-    if (saw_paren || saw_operator) {
-      harvest_method_annotations(stmt, info);
-    } else if (!stmt.empty()) {
+    // Statement ended at ';' (or ran to the class end). Function
+    // declarations carry no member state.
+    if (!saw_paren && !saw_operator && !stmt.empty()) {
       harvest_member(stmt, info);
     }
     return j < end ? j + 1 : end;
@@ -360,39 +306,6 @@ class ClassParser {
     return end - 1;
   }
 
-  /// Records FF_ACQUIRE / FF_RELEASE / FF_TRY_ACQUIRE annotations found
-  /// in a method declaration's header tokens.
-  void harvest_method_annotations(const std::vector<std::size_t>& stmt,
-                                  ClassInfo* info) {
-    for (std::size_t n = 0; n < stmt.size(); ++n) {
-      const Token& t = toks_[stmt[n]];
-      if (t.kind != TokKind::kIdentifier) continue;
-      const bool acq = t.text == "FF_ACQUIRE" || t.text == "FF_TRY_ACQUIRE";
-      const bool rel = t.text == "FF_RELEASE";
-      if (!acq && !rel) continue;
-      const std::size_t open = stmt[n] + 1;
-      if (open >= toks_.size() || toks_[open].text != "(") continue;
-      const std::size_t close = skip_balanced(toks_, open, "(", ")");
-      auto args = split_args(toks_, open, close);
-      if (t.text == "FF_TRY_ACQUIRE" && !args.empty()) {
-        args.erase(args.begin());  // first argument is the result value
-      }
-      std::vector<std::string> caps;
-      for (const auto& a : args) {
-        const std::string cap = normalize_lock_expr(a);
-        if (!cap.empty()) caps.push_back(cap);
-      }
-      if (caps.empty()) caps.push_back("<self>");
-      for (std::string& cap : caps) {
-        // A scoped capability's acquire/release both act on the lock it
-        // wraps; normalize so the pair balances per class.
-        if (info->scoped_capability) cap = "<self>";
-        (acq ? info->acquires : info->releases)
-            .push_back({cap, t.line});
-      }
-    }
-  }
-
   /// Records one member declaration (splitting multi-declarator
   /// statements on top-level commas).
   void harvest_member(const std::vector<std::size_t>& stmt,
@@ -403,7 +316,6 @@ class ClassParser {
     bool is_mutex = false;
     bool guarded = false;
     bool numeric = false;
-    bool counter = false;
     int angle = 0;
     for (std::size_t n = 0; n < stmt.size(); ++n) {
       const Token& t = toks_[stmt[n]];
@@ -426,7 +338,6 @@ class ClassParser {
       if (is_sync_type_token(t.text)) is_sync = true;
       if (is_mutex_type_token(t.text)) is_mutex = true;
       if (is_numeric_type_token(t.text)) numeric = true;
-      if (is_counter_type_token(t.text)) counter = true;
     }
 
     // Member name: the identifier directly before the first annotation
@@ -446,287 +357,20 @@ class ClassParser {
     }
     if (member.empty() || is_annotation_macro(member)) return;
 
-    if (is_mutex) info->mutex_members.push_back(member);
+    if (is_mutex) info->owns_mutex = true;
     MemberDecl decl;
     decl.name = member;
     decl.line = line;
     decl.guarded = guarded;
     decl.exempt = is_static || is_const || is_sync;
     decl.numeric = numeric && !is_static;
-    decl.counter = counter && !is_static;
     info->members.push_back(decl);
-
-    // FF_ACQUIRED_BEFORE/AFTER on the declaration: ordering edges.
-    for (std::size_t n = 0; n < stmt.size(); ++n) {
-      const Token& t = toks_[stmt[n]];
-      const bool before = is_ident(t, "FF_ACQUIRED_BEFORE");
-      const bool after = is_ident(t, "FF_ACQUIRED_AFTER");
-      if (!before && !after) continue;
-      const std::size_t open = stmt[n] + 1;
-      if (open >= toks_.size() || toks_[open].text != "(") continue;
-      const std::size_t close = skip_balanced(toks_, open, "(", ")");
-      for (const auto& a : split_args(toks_, open, close)) {
-        const std::string other = normalize_lock_expr(a);
-        if (other.empty()) continue;
-        const std::string self_q = info->name + "::" + member;
-        const std::string other_q =
-            other.find(':') == std::string::npos &&
-                    other.find('(') == std::string::npos
-                ? info->name + "::" + other
-                : other;
-        if (before) {
-          info->order.push_back({{self_q, other_q}, t.line});
-        } else {
-          info->order.push_back({{other_q, self_q}, t.line});
-        }
-      }
-    }
   }
 
-  const SourceFile& file_;
   const std::vector<Token>& toks_;
   std::vector<ClassInfo>* out_;
   std::string prefix_;
 };
-
-// ---------------------------------------------------------------------
-// Lock-order: guard scopes and the acquisition graph.
-// ---------------------------------------------------------------------
-
-struct LockEdge {
-  std::string from;
-  std::string to;
-  const SourceFile* file;
-  int line;
-};
-
-bool is_guard_type(const std::string& s) {
-  return s == "lock_guard" || s == "unique_lock" || s == "scoped_lock" ||
-         s == "MutexLock";
-}
-
-bool is_lock_tag(const std::string& s) {
-  return s == "defer_lock" || s == "try_to_lock" || s == "adopt_lock";
-}
-
-/// Scans one file for lexically nested guard scopes, producing ordering
-/// edges from every held lock to each newly acquired one. Class and
-/// out-of-line-method contexts qualify bare member names against the
-/// tree-wide mutex-member index.
-class GuardScanner {
- public:
-  GuardScanner(const SourceFile& file,
-               const std::map<std::string, std::set<std::string>>& mutexes,
-               std::vector<LockEdge>* out)
-      : file_(file), toks_(file.lex.tokens), mutexes_(mutexes), out_(out) {}
-
-  void run() {
-    int depth = 0;
-    std::size_t stmt_start = 0;  // first token of the current statement
-    for (std::size_t i = 0; i < toks_.size(); ++i) {
-      const Token& t = toks_[i];
-      if (t.text == "{") {
-        open_scope(stmt_start, i, depth);
-        ++depth;
-        stmt_start = i + 1;
-        continue;
-      }
-      if (t.text == "}") {
-        --depth;
-        while (!guards_.empty() && guards_.back().depth > depth) {
-          guards_.pop_back();
-        }
-        while (!ctx_.empty() && ctx_.back().depth > depth) ctx_.pop_back();
-        stmt_start = i + 1;
-        continue;
-      }
-      if (t.text == ";") {
-        stmt_start = i + 1;
-        continue;
-      }
-      if (t.kind == TokKind::kIdentifier && is_guard_type(t.text)) {
-        i = guard(i, depth);
-      }
-    }
-  }
-
- private:
-  struct Guard {
-    int depth;
-    std::string lock;
-  };
-  struct Ctx {
-    int depth;
-    std::string cls;
-  };
-
-  /// Called on a '{': decides whether it opens a class body or a
-  /// function body with a derivable class context, from the statement
-  /// tokens [stmt_start, open).
-  void open_scope(std::size_t stmt_start, std::size_t open, int depth) {
-    std::string cls;
-    bool in_class_head = false;
-    int paren = 0;
-    for (std::size_t k = stmt_start; k < open; ++k) {
-      const Token& t = toks_[k];
-      if (t.text == "(") ++paren;
-      if (t.text == ")" && paren > 0) --paren;
-      if (is_class_kw(t) && !(k > 0 && is_ident(toks_[k - 1], "enum"))) {
-        in_class_head = true;
-        cls.clear();
-        continue;
-      }
-      if (in_class_head && paren == 0 && t.kind == TokKind::kIdentifier &&
-          t.text != "final" && !is_annotation_macro(t.text)) {
-        cls = t.text;
-      }
-      if (in_class_head && paren == 0 && t.text == ":") {
-        in_class_head = false;  // base clause: name is fixed
-      }
-      // Out-of-line method definition: `Qual::name(...)`.
-      if (!in_class_head && t.text == "::" && k > stmt_start &&
-          k + 1 < open && paren == 0 &&
-          toks_[k - 1].kind == TokKind::kIdentifier &&
-          toks_[k + 1].kind == TokKind::kIdentifier &&
-          k + 2 < open && toks_[k + 2].text == "(") {
-        cls = toks_[k - 1].text;
-      }
-    }
-    // Record the *inside* depth so the context pops exactly when the
-    // scope's brace closes.
-    if (!cls.empty()) ctx_.push_back({depth + 1, cls});
-  }
-
-  /// Handles one guard-type token; records edges from held locks and
-  /// pushes the new acquisitions. Returns the index to continue from.
-  /// Only the declaration form `Guard name(lock...)` / `Guard name{...}`
-  /// counts: requiring the variable name keeps constructor declarations
-  /// of the guard types themselves from reading as acquisitions.
-  std::size_t guard(std::size_t i, int depth) {
-    std::size_t j = i + 1;
-    if (j < toks_.size() && toks_[j].text == "<") {
-      int d = 0;
-      for (; j < toks_.size(); ++j) {
-        if (toks_[j].text == "<") ++d;
-        if (toks_[j].text == ">" && --d == 0) break;
-      }
-      ++j;
-    }
-    if (j >= toks_.size() || toks_[j].kind != TokKind::kIdentifier) {
-      return i;
-    }
-    ++j;
-    if (j >= toks_.size() ||
-        (toks_[j].text != "(" && toks_[j].text != "{")) {
-      return i;
-    }
-    const bool braced = toks_[j].text == "{";
-    const std::size_t close = braced ? skip_balanced(toks_, j, "{", "}")
-                                     : skip_balanced(toks_, j, "(", ")");
-    for (const auto& arg : split_args(toks_, j, close)) {
-      std::string lock = normalize_lock_expr(arg);
-      if (lock.empty() || is_lock_tag(lock)) continue;
-      lock = qualify(lock);
-      const int line = toks_[i].line;
-      for (const Guard& held : guards_) {
-        out_->push_back({held.lock, lock, &file_, line});
-      }
-      guards_.push_back({depth, lock});
-    }
-    return close;
-  }
-
-  /// Bare member names are qualified by the innermost class context
-  /// that declares a mutex of that name.
-  std::string qualify(const std::string& lock) const {
-    if (lock.find(':') != std::string::npos ||
-        lock.find('(') != std::string::npos) {
-      return lock;
-    }
-    for (auto it = ctx_.rbegin(); it != ctx_.rend(); ++it) {
-      const auto cls = mutexes_.find(it->cls);
-      if (cls != mutexes_.end() && cls->second.count(lock) > 0) {
-        return it->cls + "::" + lock;
-      }
-    }
-    return lock;
-  }
-
-  const SourceFile& file_;
-  const std::vector<Token>& toks_;
-  const std::map<std::string, std::set<std::string>>& mutexes_;
-  std::vector<LockEdge>* out_;
-  std::vector<Guard> guards_;
-  std::vector<Ctx> ctx_;
-};
-
-/// Depth-first cycle search over the lock-order graph; each distinct
-/// cycle is reported once, rotated so its smallest lock name leads.
-void find_lock_cycles(const std::vector<LockEdge>& edges,
-                      std::vector<Finding>* out,
-                      std::vector<Finding>* suppressed) {
-  std::map<std::string, std::vector<const LockEdge*>> adj;
-  for (const LockEdge& e : edges) adj[e.from].push_back(&e);
-
-  std::set<std::string> done;
-  std::set<std::string> reported;
-
-  // Iterative DFS with an explicit path stack.
-  struct Frame {
-    std::string node;
-    std::size_t next{0};
-  };
-  for (const auto& [root, root_edges] : adj) {
-    (void)root_edges;
-    if (done.count(root) > 0) continue;
-    std::vector<Frame> frames{{root, 0}};
-    std::vector<std::string> path{root};
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const auto it = adj.find(f.node);
-      if (it == adj.end() || f.next >= it->second.size()) {
-        done.insert(f.node);
-        frames.pop_back();
-        path.pop_back();
-        continue;
-      }
-      // ff-lint: allow(container-invalidation) the pop_back branch above
-      // continues the loop without touching 'f' again.
-      const LockEdge* e = it->second[f.next++];
-      const auto on_path = std::find(path.begin(), path.end(), e->to);
-      if (on_path != path.end()) {
-        // Cycle: path from e->to onward, closed by e.
-        std::vector<std::string> cycle(on_path, path.end());
-        const auto smallest =
-            std::min_element(cycle.begin(), cycle.end());
-        std::rotate(cycle.begin(), smallest, cycle.end());
-        std::string text;
-        for (const std::string& n : cycle) text += n + " -> ";
-        text += cycle.front();
-        if (reported.insert(text).second) {
-          const SourceFile* file = e->file;
-          const std::string msg =
-              cycle.size() == 1
-                  ? "lock acquired while already held: " + text +
-                        " (self-deadlock for a non-recursive mutex)"
-                  : "lock acquisition order cycle: " + text +
-                        "; make every path agree on one order or declare "
-                        "it with FF_ACQUIRED_BEFORE";
-          Finding found{file->rel, e->line, "lock-order", msg};
-          if (allowed_rules_for(*file, e->line).count("lock-order") == 0) {
-            out->push_back(std::move(found));
-          } else if (suppressed != nullptr) {
-            suppressed->push_back(std::move(found));
-          }
-        }
-        continue;
-      }
-      if (done.count(e->to) > 0) continue;
-      frames.push_back({e->to, 0});
-      path.push_back(e->to);
-    }
-  }
-}
 
 }  // namespace
 
@@ -739,96 +383,30 @@ std::vector<ClassInfo> parse_classes(const SourceFile& file) {
 std::vector<Finding> check_concurrency(const SourceTree& tree,
                                        std::vector<Finding>* suppressed) {
   std::vector<Finding> out;
-
-  // Pass 1: class index across the whole of src/.
-  std::vector<std::pair<const SourceFile*, ClassInfo>> classes;
-  std::map<std::string, std::set<std::string>> mutex_index;  // class->locks
   for (const SourceFile& file : tree.files()) {
     if (file.rel.compare(0, 4, "src/") != 0 &&
         file.rel.compare(0, 11, "tools/lint/") != 0) {
       continue;
     }
-    for (ClassInfo& info : parse_classes(file)) {
-      if (!info.mutex_members.empty()) {
-        auto& set = mutex_index[info.name];
-        // Unqualified class name too: guard scopes see `Foo`, not
-        // `Outer::Foo`, in their lexical context.
-        const std::size_t tail = info.name.rfind("::");
-        set.insert(info.mutex_members.begin(), info.mutex_members.end());
-        if (tail != std::string::npos) {
-          auto& short_set = mutex_index[info.name.substr(tail + 2)];
-          short_set.insert(info.mutex_members.begin(),
-                           info.mutex_members.end());
-        }
-      }
-      classes.emplace_back(&file, std::move(info));
-    }
-  }
-
-  // unguarded-shared-state + annotation-parity per class.
-  for (const auto& [file, info] : classes) {
-    if (!info.mutex_members.empty() && !info.scoped_capability) {
+    for (const ClassInfo& info : parse_classes(file)) {
+      if (!info.owns_mutex || info.scoped_capability) continue;
       for (const MemberDecl& m : info.members) {
         if (m.guarded || m.exempt) continue;
         Finding found{
-            file->rel, m.line, "unguarded-shared-state",
+            file.rel, m.line, "unguarded-shared-state",
             "member '" + m.name + "' of mutex-owning class '" + info.name +
                 "' has no FF_GUARDED_BY and is not atomic/const; annotate "
                 "it, or explain with "
                 "'// ff-lint: allow(unguarded-shared-state) <reason>'"};
-        if (allowed_rules_for(*file, m.line)
-                .count("unguarded-shared-state") > 0) {
+        if (allowed_rules_for(file, m.line).count("unguarded-shared-state") >
+            0) {
           if (suppressed != nullptr) suppressed->push_back(std::move(found));
           continue;
         }
         out.push_back(std::move(found));
       }
     }
-
-    std::map<std::string, std::pair<int, int>> parity;  // cap->(acq,rel)
-    std::map<std::string, int> first_line;
-    for (const MethodAnnotation& a : info.acquires) {
-      ++parity[a.capability].first;
-      first_line.emplace(a.capability, a.line);
-    }
-    for (const MethodAnnotation& r : info.releases) {
-      ++parity[r.capability].second;
-      first_line.emplace(r.capability, r.line);
-    }
-    for (const auto& [cap, counts] : parity) {
-      if (counts.first > 0 && counts.second > 0) continue;
-      const int line = first_line[cap];
-      const char* has = counts.first > 0 ? "FF_ACQUIRE" : "FF_RELEASE";
-      const char* missing = counts.first > 0 ? "FF_RELEASE" : "FF_ACQUIRE";
-      Finding found{
-          file->rel, line, "annotation-parity",
-          "class '" + info.name + "' declares " + has + " of capability '" +
-              cap + "' but no " + missing +
-              " in its API: callers could never balance the acquisition"};
-      if (allowed_rules_for(*file, line).count("annotation-parity") > 0) {
-        if (suppressed != nullptr) suppressed->push_back(std::move(found));
-        continue;
-      }
-      out.push_back(std::move(found));
-    }
   }
-
-  // lock-order: declared edges plus lexically nested guard scopes.
-  std::vector<LockEdge> edges;
-  for (const auto& [file, info] : classes) {
-    for (const auto& [pair, line] : info.order) {
-      edges.push_back({pair.first, pair.second, file, line});
-    }
-  }
-  for (const SourceFile& file : tree.files()) {
-    if (file.rel.compare(0, 4, "src/") != 0 &&
-        file.rel.compare(0, 11, "tools/lint/") != 0) {
-      continue;
-    }
-    GuardScanner(file, mutex_index, &edges).run();
-  }
-  find_lock_cycles(edges, &out, suppressed);
-
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

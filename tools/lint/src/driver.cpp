@@ -122,23 +122,6 @@ LintResult lint_tree(const std::string& root) {
   return lint_files(files);
 }
 
-void write_findings_json(const LintResult& result, std::ostream& os) {
-  os << "{\"findings\":[";
-  bool first = true;
-  for (const Finding& f : result.findings) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"file\":\"";
-    json_escape(f.file, os);
-    os << "\",\"line\":" << f.line << ",\"rule\":\"";
-    json_escape(f.rule, os);
-    os << "\",\"message\":\"";
-    json_escape(f.message, os);
-    os << "\"}";
-  }
-  os << "],\"files_scanned\":" << result.files_scanned << "}\n";
-}
-
 void write_findings_sarif(const LintResult& result, std::ostream& os) {
   os << "{\"$schema\":"
         "\"https://json.schemastore.org/sarif-2.1.0.json\","
@@ -175,9 +158,9 @@ const std::vector<std::string>& rule_registry() {
       "wall-clock", "ambient-entropy", "unordered-pointer-key",
       "unordered-iteration", "raw-allocation",
       // architecture family
-      "layering", "include-cycle", "header-hygiene",
-      // concurrency family
-      "unguarded-shared-state", "lock-order", "annotation-parity",
+      "layering", "header-hygiene",
+      // concurrency
+      "unguarded-shared-state",
       // call-graph family
       "determinism-reachability",
       // dataflow family

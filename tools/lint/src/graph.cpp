@@ -35,66 +35,6 @@ void add_finding(const SourceFile& file, int line, const char* rule,
   sink.out->push_back(std::move(f));
 }
 
-/// Depth-first cycle search over the public-header include graph. Each
-/// distinct cycle is reported once, canonicalized by rotating its
-/// smallest header key to the front.
-class CycleFinder {
- public:
-  CycleFinder(const SourceTree& tree, const Sink& sink)
-      : tree_(tree), sink_(sink) {}
-
-  void run() {
-    for (const SourceFile& f : tree_.files()) {
-      if (f.public_header) visit(f);
-    }
-  }
-
- private:
-  void visit(const SourceFile& file) {
-    if (done_.count(file.header_key) > 0) return;
-    const auto on_stack = std::find(stack_.begin(), stack_.end(), &file);
-    if (on_stack != stack_.end()) {
-      report(on_stack);
-      return;
-    }
-    stack_.push_back(&file);
-    for (const IncludeDirective& inc : file.lex.includes) {
-      const SourceFile* next = tree_.resolve(inc.path);
-      if (next != nullptr && next->public_header) visit(*next);
-    }
-    stack_.pop_back();
-    done_.insert(file.header_key);
-  }
-
-  void report(std::vector<const SourceFile*>::iterator begin) {
-    std::vector<const SourceFile*> cycle(begin, stack_.end());
-    const auto smallest = std::min_element(
-        cycle.begin(), cycle.end(), [](const SourceFile* a,
-                                       const SourceFile* b) {
-          return a->header_key < b->header_key;
-        });
-    std::rotate(cycle.begin(), smallest, cycle.end());
-    std::string path;
-    for (const SourceFile* f : cycle) path += f->header_key + " -> ";
-    path += cycle.front()->header_key;
-    if (!seen_.insert(path).second) return;
-    // Anchor the finding at the include that closes the cycle.
-    const SourceFile& tail = *cycle.back();
-    int line = 1;
-    for (const IncludeDirective& inc : tail.lex.includes) {
-      if (inc.path == cycle.front()->header_key) line = inc.line;
-    }
-    add_finding(tail, line, "include-cycle",
-                "public-header include cycle: " + path, sink_);
-  }
-
-  const SourceTree& tree_;
-  Sink sink_;
-  std::vector<const SourceFile*> stack_;
-  std::set<std::string> done_;
-  std::set<std::string> seen_;
-};
-
 }  // namespace
 
 const std::map<std::string, std::set<std::string>>& layering() {
@@ -180,8 +120,6 @@ std::vector<Finding> check_architecture(const SourceTree& tree,
                   "public header is missing #pragma once", sink);
     }
   }
-
-  CycleFinder(tree, sink).run();
 
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

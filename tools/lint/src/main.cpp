@@ -4,17 +4,15 @@
 //   ff-lint [--root DIR]   lint <DIR>/src (plus bench/, examples/ and
 //                          tools/lint/ when present; default root:
 //                          cwd); exit 1 on findings
-//   ff-lint --json=PATH    additionally write the findings as JSON
 //   ff-lint --sarif=PATH   additionally write the findings as SARIF
 //                          2.1.0 (GitHub code-scanning upload)
 //   ff-lint --self-test    run the embedded fixture corpus and verify
 //                          every rule fires (and nothing else does)
 //
 // Rules: wall-clock, ambient-entropy, unordered-pointer-key,
-// unordered-iteration, raw-allocation (determinism family);
-// layering, include-cycle, header-hygiene (architecture family);
-// unguarded-shared-state, lock-order, annotation-parity (concurrency
-// family); determinism-reachability (call-graph family);
+// unordered-iteration, raw-allocation (determinism family); layering,
+// header-hygiene (architecture family); unguarded-shared-state
+// (concurrency); determinism-reachability (call-graph family);
 // container-invalidation (dataflow family); fingerprint-completeness,
 // nodiscard-contract (repo-contract family); stale-allow (meta).
 // Escape hatch: `// ff-lint: allow(<rule>) <reason>`; stale-allow has
@@ -30,29 +28,14 @@
 namespace {
 
 int usage(std::ostream& os, int code) {
-  os << "usage: ff-lint [--root DIR] [--json=PATH] [--sarif=PATH] "
-        "[--self-test]\n";
+  os << "usage: ff-lint [--root DIR] [--sarif=PATH] [--self-test]\n";
   return code;
-}
-
-int write_report(const ff::lint::LintResult& result,
-                 const std::string& path,
-                 void (*writer)(const ff::lint::LintResult&,
-                                std::ostream&)) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "ff-lint: cannot write " << path << "\n";
-    return 2;
-  }
-  writer(result, out);
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string json_path;
   std::string sarif_path;
   bool run_self_test = false;
 
@@ -64,8 +47,6 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(8);
     } else if (arg == "--help" || arg == "-h") {
@@ -84,15 +65,13 @@ int main(int argc, char** argv) {
       std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
     }
-    if (!json_path.empty()) {
-      const int rc =
-          write_report(result, json_path, ff::lint::write_findings_json);
-      if (rc != 0) return rc;
-    }
     if (!sarif_path.empty()) {
-      const int rc =
-          write_report(result, sarif_path, ff::lint::write_findings_sarif);
-      if (rc != 0) return rc;
+      std::ofstream out(sarif_path);
+      if (!out) {
+        std::cerr << "ff-lint: cannot write " << sarif_path << "\n";
+        return 2;
+      }
+      ff::lint::write_findings_sarif(result, out);
     }
     if (!result.findings.empty()) {
       std::cerr << "ff-lint: FAILED (" << result.findings.size()

@@ -22,18 +22,21 @@ double wall_now() {
 }
 )corpus"},
 
-    // wall-clock: via macro. The definition lives in src/util, which the
-    // determinism rules do not cover, and the use site contains no
-    // banned substring -- invisible to a regex, caught by the macro
-    // table. FF_SQUARE is the benign control.
+    // wall-clock and ambient-entropy: via macro. The definitions live in
+    // src/util, which the determinism rules do not cover, and the use
+    // sites contain no banned substring -- invisible to a regex, caught
+    // by the macro table. FF_SQUARE is the benign control.
     {"src/util/include/ff/util/wall_macro.h", R"corpus(#pragma once
 #include <chrono>
+#include <ctime>
 #define FF_WALL_NOW() \
   std::chrono::steady_clock::now().time_since_epoch().count()
+#define FF_EPOCH_SECONDS() static_cast<long>(time(nullptr))
 #define FF_SQUARE(x) ((x) * (x))
 )corpus"},
     {"src/sim/macro_clock.cpp", R"corpus(#include "ff/util/wall_macro.h"
 double stamp() { return FF_WALL_NOW(); }
+long epoch() { return FF_EPOCH_SECONDS(); }
 )corpus"},
     {"src/server/good_macro.cpp", R"corpus(#include "ff/util/wall_macro.h"
 int nine() { return FF_SQUARE(3); }
@@ -59,7 +62,8 @@ std::unordered_map<
 
     // unordered-iteration: container declared in a header, iterated in
     // the .cpp that includes it -- the cross-file case the regex linter
-    // (same-file declarations only) missed.
+    // (same-file declarations only) missed. session_lookup.cpp is the
+    // decoy: the same container, only looked up by key.
     {"src/device/include/ff/device/session_table.h", R"corpus(#pragma once
 #include <unordered_map>
 struct SessionTable {
@@ -76,6 +80,13 @@ int SessionTable::total() const {
   return n;
 }
 )corpus"},
+    {"src/device/src/session_lookup.cpp",
+     R"corpus(#include "ff/device/session_table.h"
+int lookup(const SessionTable& t, int id) {
+  const auto it = t.sessions_.find(id);
+  return it == t.sessions_.end() ? 0 : it->second;
+}
+)corpus"},
 
     // raw-allocation in event-dispatch code.
     {"src/sim/bad_alloc.cpp", R"corpus(struct Event { int id; };
@@ -86,16 +97,6 @@ Event* dispatch() { return new Event{1}; }
     {"src/models/src/bad_layer.cpp",
      R"corpus(#include "ff/core/experiment.h"
 int answer() { return 42; }
-)corpus"},
-
-    // include-cycle between two public headers.
-    {"src/net/include/ff/net/cycle_a.h", R"corpus(#pragma once
-#include "ff/net/cycle_b.h"
-struct CycleA {};
-)corpus"},
-    {"src/net/include/ff/net/cycle_b.h", R"corpus(#pragma once
-#include "ff/net/cycle_a.h"
-struct CycleB {};
 )corpus"},
 
     // header-hygiene: no #pragma once, relative include.
@@ -157,39 +158,6 @@ class BadCache {
 };
 )corpus"},
 
-    // lock-order: two free functions take the same pair of locks in
-    // opposite orders -- a classic AB/BA deadlock.
-    {"src/rt/bad_order.cpp", R"corpus(#include "ff/util/sync.h"
-namespace {
-ff::Mutex g_head;
-ff::Mutex g_tail;
-int g_n = 0;
-}  // namespace
-void push_front() {
-  ff::MutexLock a(g_head);
-  ff::MutexLock b(g_tail);
-  ++g_n;
-}
-void pop_back() {
-  ff::MutexLock a(g_tail);
-  ff::MutexLock b(g_head);
-  --g_n;
-}
-)corpus"},
-
-    // annotation-parity: an FF_ACQUIRE method with no matching
-    // FF_RELEASE anywhere in the class.
-    {"src/control/include/ff/control/bad_parity.h", R"corpus(#pragma once
-#include "ff/util/sync.h"
-#include "ff/util/thread_annotations.h"
-class Gate {
- public:
-  void enter() FF_ACQUIRE(mutex_);
- private:
-  ff::Mutex mutex_;
-};
-)corpus"},
-
     // determinism-reachability: the wall clock hides behind FF_WALL_NOW
     // (defined in the unlinted util module above) inside a helper that a
     // scheduled lambda calls. bench/ is outside the determinism dirs, so
@@ -225,8 +193,7 @@ std::unordered_map<
     by_ptr_;
 )corpus"},
 
-    // Concurrency decoys: fully annotated class, and the same lock pair
-    // taken in one consistent order.
+    // Concurrency decoy: a fully annotated mutex-owning class.
     {"src/net/good_sync.cpp", R"corpus(#include "ff/util/sync.h"
 #include "ff/util/thread_annotations.h"
 class Counter {
@@ -239,18 +206,6 @@ class Counter {
   ff::Mutex mutex_;
   int total_ FF_GUARDED_BY(mutex_) = 0;
 };
-namespace {
-ff::Mutex g_front;
-ff::Mutex g_back;
-}  // namespace
-void drain() {
-  ff::MutexLock a(g_front);
-  ff::MutexLock b(g_back);
-}
-void refill() {
-  ff::MutexLock a(g_front);
-  ff::MutexLock b(g_back);
-}
 )corpus"},
 
     // container-invalidation: a reference into a vector used after a
@@ -351,7 +306,6 @@ void drain_all(Queue2& q, Sink& s) {
 
 const std::vector<std::pair<std::string, std::string>> kExpected = {
     {"bench/bad_reach.cpp", "determinism-reachability"},
-    {"src/control/include/ff/control/bad_parity.h", "annotation-parity"},
     {"src/control/include/ff/control/loose.h", "header-hygiene"},
     {"src/core/bad_invalidation.cpp", "container-invalidation"},
     {"src/device/bad_nodiscard_call.cpp", "nodiscard-contract"},
@@ -360,26 +314,16 @@ const std::vector<std::pair<std::string, std::string>> kExpected = {
     {"src/net/bad_entropy.cpp", "ambient-entropy"},
     {"src/net/bad_nodiscard_decl.cpp", "nodiscard-contract"},
     {"src/net/bad_stale_allow.cpp", "stale-allow"},
-    {"src/net/include/ff/net/cycle_b.h", "include-cycle"},
-    {"src/rt/bad_order.cpp", "lock-order"},
     {"src/server/bad_ptr_key.cpp", "unordered-pointer-key"},
     {"src/sim/bad_alloc.cpp", "raw-allocation"},
     {"src/sim/bad_clock.cpp", "wall-clock"},
+    {"src/sim/macro_clock.cpp", "ambient-entropy"},
     {"src/sim/macro_clock.cpp", "wall-clock"},
     {"src/sweep/bad_fingerprint.cpp", "fingerprint-completeness"},
     {"src/util/include/ff/util/bad_guard.h", "unguarded-shared-state"},
 };
 
 }  // namespace
-
-const std::vector<std::pair<std::string, std::string>>& self_test_corpus() {
-  return kCorpus;
-}
-
-const std::vector<std::pair<std::string, std::string>>&
-self_test_expected() {
-  return kExpected;
-}
 
 int self_test(std::ostream& os) {
   const LintResult result = lint_files(kCorpus);
