@@ -27,7 +27,6 @@ sweep::SweepResult run_axis(const std::string& name, sweep::Axis axis) {
   sweep::SweepConfig cfg;
   cfg.name = name;
   cfg.base = loaded_scenario();
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.axes.push_back(std::move(axis));
   cfg.controllers = {
       {"frame-feedback",

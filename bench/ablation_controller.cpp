@@ -28,7 +28,6 @@ void run_block(const std::string& title,
   sweep::SweepConfig cfg;
   cfg.name = "ablation_controller";
   cfg.base = scenario_for_run();
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = std::move(variants);
   const sweep::SweepResult runs = sweep::run(cfg);
 

@@ -24,7 +24,6 @@ int main() {
       {Bandwidth::mbps(4.0), 0.02, 2 * kMillisecond});
   cfg.base.uplink_template.initial = cfg.base.network.at(0);
   cfg.base.downlink_template.initial = cfg.base.network.at(0);
-  cfg.seed_mode = sweep::SeedMode::kScenario;  // the paper's seed, as-is
 
   sweep::Axis deadline{"deadline_ms", {}};
   for (const double ms : deadlines_ms) {

@@ -35,7 +35,6 @@ std::vector<core::ExperimentResult> run_variants(
   sweep::SweepConfig cfg;
   cfg.name = "ablation_quality";
   cfg.base = base;
-  cfg.seed_mode = sweep::SeedMode::kScenario;  // keep the paper's seed 42
   cfg.controllers = std::move(controllers);
   sweep::SweepResult runs = sweep::run(cfg);
   std::vector<core::ExperimentResult> results;

@@ -21,7 +21,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "combined_stress";
   cfg.base = core::Scenario::paper_network();
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.axes.push_back(
       {"stressors",
        {{"network-only",

@@ -25,7 +25,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "energy";
   cfg.base = scenario;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = {
       {"local-only",
        core::make_controller_factory<control::LocalOnlyController>()},

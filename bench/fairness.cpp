@@ -37,7 +37,6 @@ int main() {
   cfg.name = "fairness";
   cfg.base = core::Scenario::ideal(60 * kSecond);
   cfg.base.seed = 42;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = {
       {"frame-feedback",
        core::make_controller_factory<control::FrameFeedbackController>()}};

@@ -41,7 +41,6 @@ int main() {
   cfg.name = "fig2_tuning";
   cfg.base = core::Scenario::paper_tuning();
   cfg.base.seed = 42;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   for (const auto& [kp, kd] : gains) {
     control::FrameFeedbackConfig c;
     c.kp = kp;

@@ -40,7 +40,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "fig3_network";
   cfg.base = scenario;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = {
       {"frame-feedback",
        core::make_controller_factory<control::FrameFeedbackController>()},

@@ -41,7 +41,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "fig4_server_load";
   cfg.base = scenario;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = {
       {"frame-feedback",
        core::make_controller_factory<control::FrameFeedbackController>()},

@@ -4,7 +4,7 @@
 // worker threads -- asserting bit-identical fingerprints. CI runs this in
 // Release; it is the fleet layer's end-to-end determinism canary.
 //
-// Output: BENCH_fleet.json, FLEET_smoke.csv.
+// Output: FLEET_smoke.csv.
 
 #include <cstdlib>
 #include <iostream>
@@ -54,9 +54,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "fleet";
   cfg.base = fleet_base();
-  // Every point keeps the scenario seed: the K=1 and K=4 points of one
-  // placement differ only in partition count and must fingerprint-match.
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = {
       {"frame-feedback",
        core::make_controller_factory<control::FrameFeedbackController>()},
@@ -101,7 +98,8 @@ int main() {
   }
   // Partition-count invariance: points are laid out axis-major
   // (partitions outermost), so point i (K=1) pairs with point i + 2
-  // (K=4) of the same placement.
+  // (K=4) of the same placement. Both run on the scenario's seed, so they
+  // differ only in partition count and must fingerprint-match.
   const std::size_t per_k = serial.points.size() / 2;
   for (std::size_t i = 0; ok && i < per_k; ++i) {
     ok = sweep::result_fingerprint(serial.points[i].result) ==
@@ -118,8 +116,7 @@ int main() {
             << serial.points.size() << " points)\n";
 
   sweep::write_points_csv(parallel, "FLEET_smoke.csv");
-  sweep::write_bench_json(parallel, "BENCH_fleet.json");
-  std::cout << "wrote FLEET_smoke.csv, BENCH_fleet.json\n";
+  std::cout << "wrote FLEET_smoke.csv\n";
 
   rt::shutdown_default_pool();
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;

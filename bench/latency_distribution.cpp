@@ -26,7 +26,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "latency_distribution";
   cfg.base = scenario;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.controllers = {
       {"frame-feedback",
        core::make_controller_factory<control::FrameFeedbackController>()},

@@ -8,7 +8,6 @@
 
 #include "ff/control/frame_feedback.h"
 #include "ff/core/experiment.h"
-#include "ff/obs/metrics.h"
 #include "ff/obs/trace.h"
 
 namespace {
@@ -63,28 +62,6 @@ void BM_EmitSiteNullSink(benchmark::State& state) {
   benchmark::DoNotOptimize(null_sink.events_seen());
 }
 BENCHMARK(BM_EmitSiteNullSink);
-
-void BM_MetricsCounterAdd(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("bench.frames", {{"device", "pi-1"}});
-  for (auto _ : state) {
-    c.add();
-  }
-  benchmark::DoNotOptimize(c.value());
-}
-BENCHMARK(BM_MetricsCounterAdd);
-
-void BM_MetricsDistributionObserve(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Distribution& d = registry.distribution("bench.latency");
-  double v = 0.0;
-  for (auto _ : state) {
-    d.observe(v);
-    v += 1.0;
-  }
-  benchmark::DoNotOptimize(d.mean());
-}
-BENCHMARK(BM_MetricsDistributionObserve);
 
 core::Scenario bench_scenario() { return core::Scenario::ideal(10 * kSecond); }
 

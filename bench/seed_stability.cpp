@@ -23,7 +23,6 @@ int main() {
   sweep::SweepConfig cfg;
   cfg.name = "seed_stability";
   cfg.base = base;
-  cfg.seed_mode = sweep::SeedMode::kScenario;
   cfg.replicates = kSeeds;
   cfg.controllers = {
       {"frame-feedback",

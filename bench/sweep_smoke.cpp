@@ -1,19 +1,17 @@
 // Sweep engine smoke: a tiny grid (2 fps values x 2 controllers x 2
 // replicates) run twice -- serially and on 2 worker threads -- asserting
-// the outputs are bit-identical, then exporting every writer format.
-// CI runs this in Release and uploads the artifacts; it doubles as a
+// the outputs are bit-identical, then exporting both CSV writers.
+// CI runs this in Release and uploads the artifacts; it doubles as an
 // end-to-end determinism canary on the exact binaries being shipped.
 //
 // Output: SWEEP_smoke.csv (per point), SWEEP_smoke_summary.csv (per
-// cell), BENCH_sweep.json, sweep_smoke_trace.jsonl.
+// cell).
 
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 
 #include "ff/core/framefeedback.h"
-#include "ff/obs/metrics.h"
-#include "ff/obs/trace.h"
 #include "ff/rt/thread_pool.h"
 #include "ff/sweep/sweep.h"
 
@@ -55,15 +53,7 @@ int main() {
   cfg.threads = 1;
   const sweep::SweepResult serial = sweep::run(cfg);
 
-  obs::MetricsRegistry metrics;
-  obs::JsonlTraceSink trace("sweep_smoke_trace.jsonl");
   cfg.threads = 2;
-  cfg.metrics = &metrics;
-  cfg.trace = &trace;
-  cfg.on_point = [](const sweep::PointDesc& desc, std::size_t done,
-                    std::size_t total) {
-    std::cout << "  [" << done << "/" << total << "] " << desc.label << "\n";
-  };
   const sweep::SweepResult parallel = sweep::run(cfg);
 
   bool ok = serial.points.size() == parallel.points.size();
@@ -76,16 +66,14 @@ int main() {
   sweep::write_points_csv(parallel, parallel_csv);
   ok = ok && serial_csv.str() == parallel_csv.str();
 
-  std::cout << "\nserial vs 2-thread: "
+  std::cout << "serial vs 2-thread: "
             << (ok ? "bit-identical" : "MISMATCH") << " ("
             << serial.points.size() << " points)\n";
 
   sweep::write_points_csv(parallel, "SWEEP_smoke.csv");
   sweep::write_summary_csv(parallel, sweep::aggregate(parallel),
                            "SWEEP_smoke_summary.csv");
-  sweep::write_bench_json(parallel, "BENCH_sweep.json");
-  std::cout << "wrote SWEEP_smoke.csv, SWEEP_smoke_summary.csv, "
-               "BENCH_sweep.json, sweep_smoke_trace.jsonl\n";
+  std::cout << "wrote SWEEP_smoke.csv, SWEEP_smoke_summary.csv\n";
 
   rt::shutdown_default_pool();
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   ff::sweep::SweepConfig sweep_cfg;
   sweep_cfg.name = "tuning_playground";
   sweep_cfg.base = scenario;
-  sweep_cfg.seed_mode = ff::sweep::SeedMode::kScenario;
   for (const auto& [kp, kd] : grid) {
     ff::control::FrameFeedbackConfig c;
     c.kp = kp;

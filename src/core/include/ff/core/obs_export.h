@@ -1,28 +1,24 @@
 #pragma once
 
-// Run-level metrics export: folds an ExperimentResult into a MetricsRegistry
-// (labelled per device) so a finished run can be dumped as one JSON document
-// for dashboards and regression tooling. Pull-based by design -- the
-// simulation's hot path never touches the registry.
+// Run-level metrics export: writes a finished ExperimentResult as one JSON
+// document for dashboards and regression tooling. Pull-based by design --
+// the simulation's hot path never touches it.
+//
+// Schema: {"metrics":[{"name":"...","kind":"counter"|"gauge",
+// "labels":{"<k>":"<v>",...},"value":<number>},...]}, in this order: run
+// totals and servers[0] labelled {scenario}, then per-server rows of a
+// multi-server fleet labelled {scenario, server}, per-tenant rows labelled
+// {scenario, tenant}, and per-device frame totals, offload latency
+// quantiles and uplink transport stats labelled {device, controller}.
 
 #include <ostream>
 #include <string>
 
 #include "ff/core/experiment.h"
-#include "ff/obs/metrics.h"
 
 namespace ff::core {
 
-/// Populates `registry` with counters/gauges/distributions derived from the
-/// run: per-device frame totals, offload latency quantiles, uplink transport
-/// stats (labelled {device=<name>, controller=<name>}), and server-side
-/// aggregates. Safe to call on an empty registry or to layer several runs
-/// into one registry (counters accumulate).
-void export_metrics(const ExperimentResult& result,
-                    obs::MetricsRegistry& registry);
-
-/// Convenience: export_metrics into a fresh registry and write its JSON
-/// document to `os`.
+/// Writes the run's metrics document to `os`.
 void write_metrics_json(const ExperimentResult& result, std::ostream& os);
 
 /// Same, to a file path. Throws std::runtime_error if the file cannot be

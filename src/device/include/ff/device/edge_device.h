@@ -10,7 +10,6 @@
 
 #include "ff/control/controller.h"
 #include "ff/device/dispatcher.h"
-#include "ff/device/frame_trace.h"
 #include "ff/device/frame_source.h"
 #include "ff/device/local_engine.h"
 #include "ff/device/offload_client.h"
@@ -19,6 +18,7 @@
 #include "ff/models/device_profile.h"
 #include "ff/models/frame.h"
 #include "ff/models/power.h"
+#include "ff/obs/trace.h"
 #include "ff/sim/simulator.h"
 
 namespace ff::device {
@@ -114,9 +114,6 @@ class EdgeDevice {
   /// Attaches a trace sink observing the device's per-frame lifecycle
   /// events (nullptr detaches). Not owned; must outlive tracing.
   void attach_trace_sink(obs::TraceSink* sink);
-
-  /// Back-compat alias: a FrameTracer is a TraceSink.
-  void attach_tracer(FrameTracer* tracer) { attach_trace_sink(tracer); }
 
  private:
   void on_frame(std::uint64_t index, SimTime t);

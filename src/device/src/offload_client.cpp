@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "ff/util/logging.h"
-
 namespace ff::device {
 
 OffloadClient::OffloadClient(sim::Simulator& sim, OffloadTransport& transport,
@@ -80,7 +78,6 @@ void OffloadClient::handle_response(std::uint64_t id, OffloadReply reply) {
       telemetry_.record_timeout_load(now);
     }
     trace(now, obs::ev::kFrameTimeoutLoad, id);
-    FF_TRACE("offload") << "frame " << id << " rejected by server";
   } else {
     ++stats_.successes;
     const auto latency = static_cast<double>(now - capture_time);
@@ -119,7 +116,6 @@ void OffloadClient::handle_deadline(std::uint64_t id) {
   ++stats_.timeouts_network;
   telemetry_.record_timeout_network(sim_.now());
   trace(sim_.now(), obs::ev::kFrameTimeoutNetwork, id);
-  FF_TRACE("offload") << "frame " << id << " missed deadline";
 }
 
 void OffloadClient::trace(SimTime t, std::string_view type,

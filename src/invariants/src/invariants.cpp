@@ -7,6 +7,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "ff/obs/json.h"
+
 namespace ff::invariants {
 namespace {
 
@@ -21,25 +23,6 @@ std::string hex_fingerprint(std::uint64_t fp) {
   std::snprintf(buf, sizeof(buf), "0x%016llx",
                 static_cast<unsigned long long>(fp));
   return buf;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 /// Direction reversals of a series under a deadband: moves smaller than
@@ -280,16 +263,16 @@ void write_invariants_json(const std::vector<ScenarioReport>& reports,
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const ScenarioReport& r = reports[i];
     os << "    {\n      \"name\": \"";
-    write_escaped(os, r.scenario);
+    obs::write_json_escaped(os, r.scenario);
     os << "\",\n      \"controller\": \"";
-    write_escaped(os, r.controller);
+    obs::write_json_escaped(os, r.controller);
     os << "\",\n      \"seed\": " << r.seed << ",\n      \"fingerprint\": \""
        << hex_fingerprint(r.fingerprint) << "\",\n      \"events\": "
        << r.events_executed << ",\n      \"passed\": "
        << (r.passed() ? "true" : "false");
     if (!r.capture_path.empty()) {
       os << ",\n      \"capture\": \"";
-      write_escaped(os, r.capture_path);
+      obs::write_json_escaped(os, r.capture_path);
       os << "\",\n      \"replay_verified\": "
          << (r.replay_verified ? "true" : "false");
     }
@@ -297,11 +280,11 @@ void write_invariants_json(const std::vector<ScenarioReport>& reports,
     for (std::size_t j = 0; j < r.checks.size(); ++j) {
       const InvariantCheck& c = r.checks[j];
       os << "        {\"name\": \"";
-      write_escaped(os, c.name);
+      obs::write_json_escaped(os, c.name);
       os << "\", \"passed\": " << (c.passed ? "true" : "false")
          << ", \"observed\": " << fmt_double(c.observed)
          << ", \"bound\": " << fmt_double(c.bound) << ", \"detail\": \"";
-      write_escaped(os, c.detail);
+      obs::write_json_escaped(os, c.detail);
       os << "\"}" << (j + 1 < r.checks.size() ? "," : "") << "\n";
     }
     os << "      ]\n    }" << (i + 1 < reports.size() ? "," : "") << "\n";

@@ -5,7 +5,6 @@
 
 #include "ff/net/shared_medium.h"
 #include "ff/sim/partition.h"
-#include "ff/util/logging.h"
 
 namespace ff::net {
 
@@ -23,8 +22,6 @@ bool Link::send(Packet packet) {
   ++stats_.packets_offered;
   if (queue_.size() >= config_.queue_limit) {
     ++stats_.packets_dropped_queue;
-    FF_TRACE(config_.name) << "tail drop msg=" << packet.message_id
-                           << " frag=" << packet.fragment_index;
     if (sink_) {
       sink_->emit(obs::TraceEvent(sim_.now(), obs::ev::kNetTailDrop,
                                   config_.name)
@@ -128,8 +125,6 @@ void Link::serve_front() {
 void Link::finish_service(Packet packet) {
   if (loss_->drop(rng_)) {
     ++stats_.packets_lost;
-    FF_TRACE(config_.name) << "loss msg=" << packet.message_id
-                           << " frag=" << packet.fragment_index;
     if (sink_) {
       sink_->emit(obs::TraceEvent(sim_.now(), obs::ev::kNetLoss, config_.name)
                       .with_id(packet.message_id)

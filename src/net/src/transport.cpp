@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ff/util/logging.h"
-
 namespace ff::net {
 
 ReliableChannel::ReliableChannel(Link& data_link, Link& ack_link,
@@ -105,8 +103,6 @@ void ReliableChannel::on_rto(std::uint64_t message_id) {
     const auto first_unacked = static_cast<std::uint32_t>(
         std::find(m.acked.begin(), m.acked.end(), false) - m.acked.begin());
     ++stats_.sends_failed;
-    FF_DEBUG(name_) << "message " << message_id << " failed (fragment "
-                    << first_unacked << " exhausted retries)";
     if (sink_) {
       sink_->emit(
           obs::TraceEvent(send_sim_.now(), obs::ev::kNetSendFailed, name_)

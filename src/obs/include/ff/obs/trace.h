@@ -52,10 +52,6 @@ inline constexpr std::string_view kServerAdmissionReject =
     "server.admission_reject";
 // Controller decisions.
 inline constexpr std::string_view kControlTick = "ctl.tick";
-// Sweep engine lifecycle (ff::sweep).
-inline constexpr std::string_view kSweepStart = "sweep.start";
-inline constexpr std::string_view kSweepPoint = "sweep.point";
-inline constexpr std::string_view kSweepDone = "sweep.done";
 }  // namespace ev
 
 /// One span event. Built inline at the emit site; `type` must be a
@@ -147,28 +143,11 @@ class JsonlTraceSink final : public TraceSink {
   std::uint64_t events_{0};
 };
 
-/// Broadcasts to several sinks (none owned); lets a CSV FrameTracer and a
-/// JSONL export observe the same run.
-class FanoutTraceSink final : public TraceSink {
- public:
-  void add(TraceSink* sink) {
-    if (sink != nullptr) sinks_.push_back(sink);
-  }
-  [[nodiscard]] bool empty() const { return sinks_.empty(); }
-  void emit(const TraceEvent& event) override {
-    for (TraceSink* s : sinks_) s->emit(event);
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
-};
-
 /// Serializes emits into a wrapped sink (not owned). TraceSink
 /// implementations are single-threaded by contract; wrap one in this when
-/// several experiments running on pool workers must share it (the sweep
-/// engine does this for SweepConfig::trace_experiments). Event order
-/// across threads is whatever the mutex arbitration yields; each event is
-/// delivered intact.
+/// several threads must share it (core::Experiment does this when its
+/// partitions run on worker threads). Event order across threads is
+/// whatever the mutex arbitration yields; each event is delivered intact.
 class SynchronizedTraceSink final : public TraceSink {
  public:
   explicit SynchronizedTraceSink(TraceSink& inner) : inner_(&inner) {}

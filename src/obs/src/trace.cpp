@@ -1,49 +1,11 @@
 #include "ff/obs/trace.h"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
+#include "ff/obs/json.h"
+
 namespace ff::obs {
-namespace {
-
-/// Events carry identifiers and numbers, not user text, so escaping only
-/// has to keep the JSON well-formed if a name ever contains a quote.
-void write_escaped(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void write_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";  // JSON has no inf/nan
-    return;
-  }
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 1e15) {
-    os << static_cast<std::int64_t>(v);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  os << buf;
-}
-
-}  // namespace
 
 double TraceEvent::field(std::string_view key, double fallback) const {
   for (std::size_t i = 0; i < field_count; ++i) {
@@ -66,23 +28,23 @@ void JsonlTraceSink::emit(const TraceEvent& event) {
   char tbuf[32];
   std::snprintf(tbuf, sizeof(tbuf), "%.6f", sim_to_seconds(event.time));
   os << "{\"t\":" << tbuf << ",\"type\":\"";
-  write_escaped(os, event.type);
+  write_json_escaped(os, event.type);
   os << "\",\"src\":\"";
-  write_escaped(os, event.source);
+  write_json_escaped(os, event.source);
   os << '"';
   if (event.has_id) os << ",\"id\":" << event.id;
   if (!event.detail_key.empty()) {
     os << ",\"";
-    write_escaped(os, event.detail_key);
+    write_json_escaped(os, event.detail_key);
     os << "\":\"";
-    write_escaped(os, event.detail_value);
+    write_json_escaped(os, event.detail_value);
     os << '"';
   }
   for (std::size_t i = 0; i < event.field_count; ++i) {
     os << ",\"";
-    write_escaped(os, event.fields[i].key);
+    write_json_escaped(os, event.fields[i].key);
     os << "\":";
-    write_number(os, event.fields[i].value);
+    write_json_number(os, event.fields[i].value);
   }
   os << "}\n";
   ++events_;

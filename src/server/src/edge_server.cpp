@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "ff/util/logging.h"
-
 namespace ff::server {
 
 EdgeServer::EdgeServer(sim::Simulator& sim, ServerConfig config)
@@ -111,8 +109,6 @@ void EdgeServer::start_batch(ModelQueue& queue) {
   const SimTime started_at = sim_.now();
   batch_started_at_ = started_at;
   batch_exec_ = exec;
-  FF_TRACE(config_.name) << "batch model=" << models::model_name(queue.model)
-                         << " size=" << batch_size << " exec_us=" << exec;
   if (sink_) {
     sink_->emit(obs::TraceEvent(started_at, obs::ev::kServerBatchStart,
                                 config_.name)

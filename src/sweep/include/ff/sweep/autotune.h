@@ -44,9 +44,9 @@ struct AutoTuneResult {
   std::vector<GainScore> all;  ///< grid order (kp-major)
 };
 
-/// Runs the grid as a sweep (SeedMode::kScenario, so every pair sees the
-/// scenario's own seed). Throws std::invalid_argument on an empty grid
-/// or a scenario without exactly one device.
+/// Runs the grid as a sweep, so every pair sees the scenario's own seed.
+/// Throws std::invalid_argument on an empty grid or a scenario without
+/// exactly one device.
 [[nodiscard]] AutoTuneResult auto_tune(const AutoTuneConfig& config);
 
 }  // namespace ff::sweep

@@ -4,10 +4,9 @@
 // the reproduction is a loop over experiments -- a cross product of
 // scenario axes x controller variants x seed replicates. This library runs
 // that cross product concurrently on rt::default_pool() (or a dedicated
-// pool) with deterministic per-point seed derivation, so a parallel sweep
+// pool). A point's seed depends only on its identity, so a parallel sweep
 // is bit-identical to the same sweep run serially. It aggregates
-// replicates into mean/stddev/CI summaries, streams progress and totals
-// through ff_obs, and exports CSV and the BENCH_*.json shape from one
+// replicates into mean/stddev/CI summaries and exports CSV from one
 // writer instead of one hand-rolled loop per bench target.
 
 #include <cstddef>
@@ -20,8 +19,6 @@
 
 #include "ff/core/experiment.h"
 #include "ff/core/scenario.h"
-#include "ff/obs/metrics.h"
-#include "ff/obs/trace.h"
 #include "ff/util/stats.h"
 
 namespace ff::sweep {
@@ -71,17 +68,6 @@ struct MetricProbe {
   std::function<double(const core::ExperimentResult&)> extract;
 };
 
-enum class SeedMode {
-  /// Seed = splitmix64 of the base scenario seed x linear point index
-  /// (see derive_point_seed): every point gets an independent stream and
-  /// the derivation depends only on the index, never on thread count.
-  kDerived,
-  /// Keep the (possibly axis-mutated) scenario's own seed; replicate r
-  /// runs with seed + r. Use for exact reproduction of the paper's
-  /// single-seed figures (seed 42) and explicit seed ladders.
-  kScenario,
-};
-
 /// Identity of one point in the cross product.
 struct PointDesc {
   std::size_t index{0};  ///< linear index, axis-major then controller
@@ -91,6 +77,9 @@ struct PointDesc {
   std::size_t controller_index{0};
   std::string controller;
   std::size_t replicate{0};
+  /// The axis-mutated scenario's seed plus the replicate index, so the
+  /// paper's single-seed figures (seed 42) reproduce exactly and a seed
+  /// axis is an explicit seed ladder.
   std::uint64_t seed{0};
   /// "axis=value,...,controller" plus "#replicate" when replicated.
   std::string label;
@@ -102,28 +91,11 @@ struct SweepConfig {
   std::vector<Axis> axes;
   std::vector<ControllerVariant> controllers;
   std::size_t replicates{1};
-  SeedMode seed_mode{SeedMode::kDerived};
   /// 0 = shared rt::default_pool(); 1 = serial on the calling thread;
   /// N > 1 = dedicated pool of N workers. Results are bit-identical
   /// across all choices.
   std::size_t threads{0};
   std::vector<MetricProbe> probes;
-  /// Optional per-sweep metrics, labelled {sweep=<name>}: points_total
-  /// gauge, points_done / events_executed counters and one distribution
-  /// per probe. Updated from the calling thread only; the registry is
-  /// not otherwise synchronized.
-  obs::MetricsRegistry* metrics{nullptr};
-  /// Optional span sink: sweep.start / sweep.point / sweep.done emitted
-  /// from the calling thread as points land. With trace_experiments the
-  /// sink is also attached to every experiment, wrapped in an internal
-  /// obs::SynchronizedTraceSink (event order across concurrently running
-  /// points is then unspecified; per-point content is deterministic).
-  obs::TraceSink* trace{nullptr};
-  bool trace_experiments{false};
-  /// Progress hook, called on the calling thread as each point lands (in
-  /// linear index order).
-  std::function<void(const PointDesc&, std::size_t done, std::size_t total)>
-      on_point;
 };
 
 /// One finished experiment of the sweep.
@@ -154,9 +126,9 @@ struct SweepResult {
   }
 };
 
-/// Deterministic per-point seed (SeedMode::kDerived): one splitmix64 step
-/// of base_seed perturbed by the linear point index. Depends only on
-/// (base_seed, point_index), so serial and parallel sweeps agree.
+/// Independent seed stream per index: one splitmix64 step of base_seed
+/// perturbed by `point_index`. Depends only on (base_seed, point_index),
+/// so it is safe to call from any thread in any order.
 [[nodiscard]] std::uint64_t derive_point_seed(std::uint64_t base_seed,
                                               std::uint64_t point_index);
 
@@ -208,11 +180,5 @@ void write_series_csv(const SweepResult& result, const std::string& series,
                       std::size_t device_index, std::ostream& os);
 void write_series_csv(const SweepResult& result, const std::string& series,
                       std::size_t device_index, const std::string& path);
-
-/// The BENCH_<suite>.json shape the micro-benches emit ({"suite": ...,
-/// "benchmarks": [...]}), one entry per point with its seed, fingerprint
-/// and probe values.
-void write_bench_json(const SweepResult& result, std::ostream& os);
-void write_bench_json(const SweepResult& result, const std::string& path);
 
 }  // namespace ff::sweep

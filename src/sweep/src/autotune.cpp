@@ -24,7 +24,6 @@ AutoTuneResult auto_tune(const AutoTuneConfig& config) {
   SweepConfig sweep;
   sweep.name = "autotune";
   sweep.base = config.scenario;
-  sweep.seed_mode = SeedMode::kScenario;
   sweep.threads = config.threads;
   sweep.controllers.reserve(grid.size());
   for (const auto& [kp, kd] : grid) {

@@ -90,23 +90,20 @@ std::vector<PointDesc> enumerate_points(const SweepConfig& config,
   return descs;
 }
 
-/// Applies the axis mutations and seed policy, runs the experiment and
-/// extracts the probes. Called from pool workers; everything it touches
-/// is either point-local or const shared config.
-SweepPoint run_point(const SweepConfig& config, PointDesc desc,
-                     obs::TraceSink* experiment_sink) {
+/// Applies the axis mutations and the replicate's seed offset, runs the
+/// experiment and extracts the probes. Called from pool workers;
+/// everything it touches is either point-local or const shared config.
+SweepPoint run_point(const SweepConfig& config, PointDesc desc) {
   core::Scenario scenario = config.base;
   for (std::size_t a = 0; a < config.axes.size(); ++a) {
     const AxisValue& value = config.axes[a].values[desc.axis_indices[a]];
     if (value.apply) value.apply(scenario);
   }
-  scenario.seed = desc.seed;
+  scenario.seed += desc.replicate;
+  desc.seed = scenario.seed;
 
   core::Experiment experiment(
       scenario, config.controllers[desc.controller_index].factory);
-  if (experiment_sink != nullptr) {
-    experiment.set_trace_sink(experiment_sink);
-  }
 
   SweepPoint point;
   point.desc = std::move(desc);
@@ -123,15 +120,6 @@ void cell_key_columns(CsvWriter& w, const PointDesc& desc) {
     w.field(coordinate);
   }
   w.field(desc.controller);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -168,56 +156,6 @@ SweepResult run(const SweepConfig& config) {
   const std::size_t total = checked_total(config);
   std::vector<PointDesc> descs = enumerate_points(config, total);
 
-  // Seed policy. Both modes depend only on the point identity, never on
-  // execution order, which is what makes parallel == serial.
-  for (PointDesc& d : descs) {
-    if (config.seed_mode == SeedMode::kDerived) {
-      d.seed = derive_point_seed(config.base.seed, d.index);
-    } else {
-      core::Scenario probe = config.base;
-      for (std::size_t a = 0; a < config.axes.size(); ++a) {
-        const AxisValue& value = config.axes[a].values[d.axis_indices[a]];
-        if (value.apply) value.apply(probe);
-      }
-      d.seed = probe.seed + d.replicate;
-    }
-  }
-
-  // Observability plumbing. Sweep-level events and registry updates
-  // happen on this thread only; experiment traces (opt-in) are emitted
-  // from workers through one synchronized wrapper.
-  std::optional<obs::SynchronizedTraceSink> synchronized;
-  obs::TraceSink* sink = nullptr;
-  if (config.trace != nullptr) {
-    synchronized.emplace(*config.trace);
-    sink = &*synchronized;
-  }
-  obs::TraceSink* experiment_sink = config.trace_experiments ? sink : nullptr;
-
-  const obs::Labels labels{{"sweep", config.name}};
-  obs::Counter* points_done = nullptr;
-  obs::Counter* events_executed = nullptr;
-  std::vector<obs::Distribution*> probe_dists;
-  if (config.metrics != nullptr) {
-    config.metrics->gauge("sweep.points_total", labels)
-        .set(static_cast<double>(total));
-    points_done = &config.metrics->counter("sweep.points_done", labels);
-    events_executed = &config.metrics->counter("sweep.events_executed", labels);
-    for (const MetricProbe& probe : config.probes) {
-      obs::Labels probe_labels = labels;
-      probe_labels.emplace_back("metric", probe.name);
-      probe_dists.push_back(
-          &config.metrics->distribution("sweep.metric", probe_labels));
-    }
-  }
-
-  if (sink != nullptr) {
-    sink->emit(obs::TraceEvent(0, obs::ev::kSweepStart, config.name)
-                   .with("points", static_cast<double>(total))
-                   .with("replicates",
-                         static_cast<double>(config.replicates)));
-  }
-
   SweepResult result;
   result.name = config.name;
   for (const Axis& axis : config.axes) {
@@ -231,35 +169,11 @@ SweepResult run(const SweepConfig& config) {
   }
   result.points.reserve(total);
 
-  std::size_t done = 0;
-  auto land = [&](SweepPoint point) {
-    if (points_done != nullptr) points_done->add(1.0);
-    if (events_executed != nullptr) {
-      events_executed->add(static_cast<double>(point.result.events_executed));
-    }
-    for (std::size_t m = 0; m < probe_dists.size(); ++m) {
-      probe_dists[m]->observe(point.metrics[m]);
-    }
-    if (sink != nullptr) {
-      sink->emit(obs::TraceEvent(point.result.duration, obs::ev::kSweepPoint,
-                                 config.name)
-                     .with_id(point.desc.index)
-                     .with_detail("point", point.desc.label)
-                     .with("events",
-                           static_cast<double>(point.result.events_executed))
-                     .with("replicate",
-                           static_cast<double>(point.desc.replicate)));
-    }
-    ++done;
-    if (config.on_point) config.on_point(point.desc, done, total);
-    result.points.push_back(std::move(point));
-  };
-
   if (config.threads == 1) {
     // Literal serial mode: no pool involved at all. The reference
     // ordering every parallel run must reproduce.
     for (PointDesc& d : descs) {
-      land(run_point(config, std::move(d), experiment_sink));
+      result.points.push_back(run_point(config, std::move(d)));
     }
   } else {
     std::optional<rt::ThreadPool> owned;
@@ -269,21 +183,15 @@ SweepResult run(const SweepConfig& config) {
     std::vector<std::future<SweepPoint>> futures;
     futures.reserve(total);
     for (PointDesc& d : descs) {
-      futures.push_back(pool.submit(
-          [&config, desc = std::move(d), experiment_sink]() mutable {
-            return run_point(config, std::move(desc), experiment_sink);
-          }));
+      futures.push_back(pool.submit([&config, desc = std::move(d)]() mutable {
+        return run_point(config, std::move(desc));
+      }));
     }
-    // Collect in linear order: output order, metrics and progress are
-    // then independent of completion order.
+    // Collect in linear order: output order is then independent of
+    // completion order.
     for (auto& future : futures) {
-      land(future.get());
+      result.points.push_back(future.get());
     }
-  }
-
-  if (sink != nullptr) {
-    sink->emit(obs::TraceEvent(0, obs::ev::kSweepDone, config.name)
-                   .with("points", static_cast<double>(total)));
   }
   return result;
 }
@@ -499,24 +407,6 @@ void write_series_csv(const SweepResult& result, const std::string& series,
   }
 }
 
-void write_bench_json(const SweepResult& result, std::ostream& os) {
-  os << "{\n  \"suite\": \"" << json_escape(result.name)
-     << "\",\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < result.points.size(); ++i) {
-    const SweepPoint& point = result.points[i];
-    os << "    {\"name\": \"" << json_escape(point.desc.label)
-       << "\", \"seed\": " << point.desc.seed
-       << ", \"fingerprint\": " << result_fingerprint(point.result)
-       << ", \"events\": " << point.result.events_executed;
-    for (std::size_t m = 0; m < result.metric_names.size(); ++m) {
-      os << ", \"" << json_escape(result.metric_names[m])
-         << "\": " << point.metrics[m];
-    }
-    os << "}" << (i + 1 < result.points.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
 namespace {
 
 template <class Fn>
@@ -548,11 +438,6 @@ void write_series_csv(const SweepResult& result, const std::string& series,
   write_to_path(path, [&](std::ostream& os) {
     write_series_csv(result, series, device_index, os);
   });
-}
-
-void write_bench_json(const SweepResult& result, const std::string& path) {
-  write_to_path(path,
-                [&](std::ostream& os) { write_bench_json(result, os); });
 }
 
 }  // namespace ff::sweep

@@ -1,6 +1,6 @@
 #pragma once
 
-// CSV / JSONL writers so every bench can dump its raw series for external
+// CSV writers so every bench can dump its raw series for external
 // plotting alongside the ASCII rendering.
 
 #include <fstream>

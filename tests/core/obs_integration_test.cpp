@@ -1,9 +1,12 @@
 // End-to-end observability: a scenario run with a trace sink attached must
 // produce events that reconcile exactly with the run's telemetry counters,
-// and the JSONL export of the same run must be line-parseable.
+// the JSONL export of the same run must be line-parseable, and the metrics
+// document must carry the run's totals.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,7 +14,6 @@
 #include "ff/control/frame_feedback.h"
 #include "ff/core/experiment.h"
 #include "ff/core/obs_export.h"
-#include "ff/obs/metrics.h"
 #include "ff/obs/trace.h"
 
 namespace ff::core {
@@ -39,18 +41,35 @@ std::size_t count_type(const std::vector<std::string>& lines,
   return n;
 }
 
+/// The number in the metrics document right after the object prefix
+/// {"name":<name>,"kind":<kind>,"labels":<labels>,"value":, or NaN if the
+/// document has no such metric.
+double metric_value(const std::string& json, std::string_view name,
+                    std::string_view kind, const std::string& labels) {
+  const std::string prefix = "{\"name\":\"" + std::string(name) +
+                             "\",\"kind\":\"" + std::string(kind) +
+                             "\",\"labels\":" + labels + ",\"value\":";
+  const auto at = json.find(prefix);
+  if (at == std::string::npos) return std::nan("");
+  return std::stod(json.substr(at + prefix.size()));
+}
+
 TEST(ObsIntegration, TraceEventsReconcileWithTelemetry) {
-  Experiment experiment(Scenario::ideal(10 * kSecond),
-                        frame_feedback_factory());
+  // The same seeded run, once into each sink. A run is a pure function of
+  // its scenario, so both sinks see the identical stream.
+  const auto traced_run = [](obs::TraceSink& sink) {
+    Experiment experiment(Scenario::ideal(10 * kSecond),
+                          frame_feedback_factory());
+    experiment.set_trace_sink(&sink);
+    return experiment.run();
+  };
   obs::CollectingTraceSink collected;
+  const ExperimentResult result = traced_run(collected);
   std::ostringstream jsonl_out;
   obs::JsonlTraceSink jsonl(jsonl_out);
-  obs::FanoutTraceSink fanout;
-  fanout.add(&collected);
-  fanout.add(&jsonl);
-  experiment.set_trace_sink(&fanout);
+  const ExperimentResult jsonl_result = traced_run(jsonl);
+  ASSERT_EQ(jsonl_result.events_executed, result.events_executed);
 
-  const ExperimentResult result = experiment.run();
   const auto& totals = result.devices[0].totals;
   ASSERT_GT(totals.frames_captured, 0u);
 
@@ -80,14 +99,18 @@ TEST(ObsIntegration, TraceEventsReconcileWithTelemetry) {
   // One controller tick per elapsed measurement period.
   EXPECT_GT(collected.count(obs::ev::kControlTick), 0u);
 
-  // The JSONL mirror saw the identical stream, one object per line.
+  // The JSONL run wrote the identical stream, one object per line.
   EXPECT_EQ(jsonl.events_written(), collected.events().size());
   const auto lines = lines_of(jsonl_out.str());
   ASSERT_EQ(lines.size(), collected.events().size());
-  for (const auto& line : lines) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     ASSERT_GE(line.size(), 2u);
     EXPECT_EQ(line.rfind("{\"t\":", 0), 0u) << line;
     EXPECT_EQ(line.back(), '}') << line;
+    EXPECT_NE(line.find("\"type\":\"" + collected.events()[i].type + "\""),
+              std::string::npos)
+        << line;
   }
   EXPECT_EQ(count_type(lines, obs::ev::kFrameCaptured),
             totals.frames_captured);
@@ -100,25 +123,73 @@ TEST(ObsIntegration, ExportedMetricsMatchRunTotals) {
                         frame_feedback_factory());
   const ExperimentResult result = experiment.run();
 
-  obs::MetricsRegistry registry;
-  export_metrics(result, registry);
-  const obs::Labels labels{
-      {"device", result.devices[0].name},
-      {"controller", result.devices[0].controller}};
-  EXPECT_DOUBLE_EQ(
-      registry.counter("device.frames_captured", labels).value(),
-      static_cast<double>(result.devices[0].totals.frames_captured));
-  EXPECT_DOUBLE_EQ(
-      registry.counter("server.requests_completed",
-                       {{"scenario", result.scenario}})
-          .value(),
-      static_cast<double>(result.servers.front().stats.requests_completed));
-
   std::ostringstream os;
   write_metrics_json(result, os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"metrics\":["), std::string::npos);
-  EXPECT_NE(json.find("\"device.frames_captured\""), std::string::npos);
+  const DeviceResult& d = result.devices[0];
+  const std::string device_labels = "{\"device\":\"" + d.name +
+                                    "\",\"controller\":\"" + d.controller +
+                                    "\"}";
+  const std::string run_labels = "{\"scenario\":\"" + result.scenario + "\"}";
+  EXPECT_DOUBLE_EQ(
+      metric_value(json, "device.frames_captured", "counter", device_labels),
+      static_cast<double>(d.totals.frames_captured));
+  EXPECT_DOUBLE_EQ(
+      metric_value(json, "device.offload_successes", "counter", device_labels),
+      static_cast<double>(d.totals.offload_successes));
+  EXPECT_DOUBLE_EQ(
+      metric_value(json, "server.requests_completed", "counter", run_labels),
+      static_cast<double>(result.servers.front().stats.requests_completed));
+  EXPECT_DOUBLE_EQ(
+      metric_value(json, "run.events_executed", "counter", run_labels),
+      static_cast<double>(result.events_executed));
+}
+
+/// A hand-built result: one device, one server, no series.
+ExperimentResult tiny_result(std::string device_name) {
+  ExperimentResult r;
+  r.scenario = "tiny";
+  r.duration = 2 * kSecond;
+  r.events_executed = 42;
+  r.servers.emplace_back().name = "server";
+  DeviceResult& d = r.devices.emplace_back();
+  d.name = std::move(device_name);
+  d.controller = "frame-feedback";
+  d.totals.frames_captured = 60;
+  return r;
+}
+
+TEST(MetricsJson, WriteJsonEmitsOneDocument) {
+  std::ostringstream os;
+  write_metrics_json(tiny_result("pi-1"), os);
+  const std::string json = os.str();
+  EXPECT_EQ(json.rfind("{\"metrics\":[", 0), 0u);
+  EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 1);
+  EXPECT_NE(json.find("{\"name\":\"run.events_executed\",\"kind\":"
+                      "\"counter\",\"labels\":{\"scenario\":\"tiny\"},"
+                      "\"value\":42}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"run.duration_s\",\"kind\":\"gauge\","
+                      "\"labels\":{\"scenario\":\"tiny\"},\"value\":2}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"labels\":{\"device\":\"pi-1\",\"controller\":"
+                      "\"frame-feedback\"},\"value\":60}"),
+            std::string::npos);
+  // No offloads, so no latency quantiles.
+  EXPECT_EQ(json.find("offload_latency"), std::string::npos);
+  // Balanced braces/brackets -- cheap well-formedness check.
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+            std::count(json.begin(), json.end(), '}'));
+  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
+            std::count(json.begin(), json.end(), ']'));
+}
+
+TEST(MetricsJson, EscapesLabelStrings) {
+  std::ostringstream os;
+  write_metrics_json(tiny_result("a\"b\\c"), os);
+  EXPECT_NE(os.str().find("\"device\":\"a\\\"b\\\\c\""),
+            std::string::npos);
 }
 
 // Paper §III: under total offload failure the controller settles at the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace ff::device {
 namespace {
 
@@ -173,6 +176,63 @@ TEST(EdgeDevice, StopHaltsCapture) {
   (void)sim.schedule_at(kSecond, [&] { dev.stop(); });
   sim.run_until(10 * kSecond);
   EXPECT_NEAR(static_cast<double>(dev.frames_captured()), 30.0, 1.0);
+}
+
+TEST(EdgeDevice, TraceLifecycleEndToEnd) {
+  sim::Simulator sim(3);
+  EchoTransport transport(sim, 50 * kMillisecond);
+  DeviceConfig dc;
+  dc.source_fps = 30.0;
+  EdgeDevice dev(sim, transport, dc);
+  obs::CollectingTraceSink sink;
+  dev.attach_trace_sink(&sink);
+  dev.set_offload_rate(15.0);
+  dev.start();
+  sim.run_until(5 * kSecond);
+
+  const auto count = [&](std::string_view type) {
+    return static_cast<double>(sink.count(type));
+  };
+  EXPECT_NEAR(count(obs::ev::kFrameCaptured), 150, 2);
+  EXPECT_NEAR(count(obs::ev::kFrameRoutedOffload), 75, 2);
+  EXPECT_NEAR(count(obs::ev::kFrameRoutedLocal), 75, 2);
+  EXPECT_GT(count(obs::ev::kFrameOffloadSuccess), 70);
+  EXPECT_GT(count(obs::ev::kFrameLocalCompleted), 50);
+
+  // A specific offloaded frame's lifecycle is ordered and complete.
+  const auto& events = sink.events();
+  const auto success =
+      std::find_if(events.begin(), events.end(), [](const auto& e) {
+        return e.type == obs::ev::kFrameOffloadSuccess;
+      });
+  ASSERT_NE(success, events.end());
+  std::vector<const obs::CollectingTraceSink::Stored*> life;
+  for (const auto& e : events) {
+    if (e.has_id && e.id == success->id) life.push_back(&e);
+  }
+  ASSERT_GE(life.size(), 4u);
+  EXPECT_EQ(life[0]->type, obs::ev::kFrameCaptured);
+  EXPECT_EQ(life[1]->type, obs::ev::kFrameRoutedOffload);
+  EXPECT_EQ(life[2]->type, obs::ev::kFrameOffloadSent);
+  EXPECT_EQ(life[3]->type, obs::ev::kFrameOffloadSuccess);
+  for (std::size_t i = 1; i < life.size(); ++i) {
+    EXPECT_GE(life[i]->time, life[i - 1]->time);
+  }
+}
+
+TEST(EdgeDevice, DetachStopsTracing) {
+  sim::Simulator sim(4);
+  EchoTransport transport(sim, kMillisecond);
+  EdgeDevice dev(sim, transport, DeviceConfig{});
+  obs::CollectingTraceSink sink;
+  dev.attach_trace_sink(&sink);
+  dev.start();
+  sim.run_until(kSecond);
+  const auto before = sink.events().size();
+  EXPECT_GT(before, 0u);
+  dev.attach_trace_sink(nullptr);
+  sim.run_until(2 * kSecond);
+  EXPECT_EQ(sink.events().size(), before);
 }
 
 }  // namespace

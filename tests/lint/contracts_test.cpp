@@ -46,7 +46,7 @@ const char kFingerprintGap[] =
     "struct TelemetryTotals {\n"
     "  uint64_t frames_offered = 0;\n"
     "  uint64_t frames_completed = 0;\n"
-    "  double mean_latency_ms = 0.0;\n"
+    "  double mean_latency_ms = 0.0, p99_latency_ms = 0.0;\n"
     "};\n"
     "uint64_t result_fingerprint(const TelemetryTotals& t) {\n"
     "  uint64_t h = 0;\n"
@@ -56,12 +56,16 @@ const char kFingerprintGap[] =
     "}\n";
 
 TEST(Fingerprint, UnmixedNumericFieldFires) {
+  // One statement declaring two fields yields a finding for each.
   const auto r = lint_one("src/sweep/src/x.cpp", kFingerprintGap);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].rule, "fingerprint-completeness");
+  ASSERT_EQ(r.findings.size(), 2u);
+  for (const Finding& f : r.findings) {
+    EXPECT_EQ(f.rule, "fingerprint-completeness");
+    EXPECT_NE(f.message.find("TelemetryTotals"), std::string::npos);
+  }
   EXPECT_NE(r.findings[0].message.find("mean_latency_ms"),
             std::string::npos);
-  EXPECT_NE(r.findings[0].message.find("TelemetryTotals"),
+  EXPECT_NE(r.findings[1].message.find("p99_latency_ms"),
             std::string::npos);
 }
 

@@ -194,21 +194,28 @@ TEST(Rules, MultiLineStatementAllowSuppresses) {
 // Concurrency rules, in memory.
 
 TEST(Concurrency, UnguardedSharedState) {
+  // One statement declaring two members yields a finding for each.
   const auto r = lint_one("src/util/src/c.cpp",
                           "class Cache {\n"
                           " private:\n"
                           "  ff::Mutex mutex_;\n"
-                          "  int hits_;\n"
+                          "  int hits_, misses_;\n"
                           "};\n");
   EXPECT_EQ(rules_of(r), (std::set<FileRule>{
                              {"src/util/src/c.cpp",
                               "unguarded-shared-state"}}));
-  // Annotated, atomic, const and allow()ed members are all fine.
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_NE(r.findings[0].message.find("'hits_'"), std::string::npos);
+  EXPECT_NE(r.findings[1].message.find("'misses_'"), std::string::npos);
+  // Annotated, atomic, const and allow()ed members are all fine; commas
+  // inside a template argument list do not split a declaration.
   EXPECT_TRUE(
       lint_one("src/util/src/c.cpp",
                "class Cache {\n"
                "  ff::Mutex mutex_;\n"
-               "  int hits_ FF_GUARDED_BY(mutex_) = 0;\n"
+               "  int hits_ FF_GUARDED_BY(mutex_) = 0,\n"
+               "      evictions_ FF_GUARDED_BY(mutex_) = 0;\n"
+               "  std::map<int, int> index_ FF_GUARDED_BY(mutex_);\n"
                "  std::atomic<int> misses_{0};\n"
                "  const int capacity_ = 8;\n"
                "  // ff-lint: allow(unguarded-shared-state) set before\n"

@@ -7,8 +7,6 @@
 #include <sstream>
 
 #include "ff/core/framefeedback.h"
-#include "ff/obs/metrics.h"
-#include "ff/obs/trace.h"
 #include "ff/rt/thread_pool.h"
 
 namespace ff::sweep {
@@ -81,26 +79,27 @@ TEST(SweepRun, EnumeratesAxisMajorThenControllerThenReplicate) {
   }
 }
 
-TEST(SweepRun, DerivedModeSeedsMatchDerivationAndAreUnique) {
+TEST(SweepRun, PointSeedIsScenarioSeedPlusReplicate) {
   SweepConfig cfg = small_config();
   cfg.threads = 1;
-  const SweepResult result = run(cfg);
-  std::set<std::uint64_t> seeds;
-  for (const SweepPoint& p : result.points) {
-    EXPECT_EQ(p.desc.seed, derive_point_seed(cfg.base.seed, p.desc.index));
-    EXPECT_EQ(p.result.seed, p.desc.seed);
-    seeds.insert(p.desc.seed);
-  }
-  EXPECT_EQ(seeds.size(), result.points.size());
-}
-
-TEST(SweepRun, ScenarioModeKeepsSeedPlusReplicate) {
-  SweepConfig cfg = small_config();
-  cfg.threads = 1;
-  cfg.seed_mode = SeedMode::kScenario;
   const SweepResult result = run(cfg);
   for (const SweepPoint& p : result.points) {
     EXPECT_EQ(p.desc.seed, cfg.base.seed + p.desc.replicate);
+    EXPECT_EQ(p.result.seed, p.desc.seed);
+  }
+
+  // The seed is read after the axes apply, so a seed axis is a ladder.
+  Axis seeds;
+  seeds.name = "seed";
+  seeds.values = {
+      {"100", [](core::Scenario& s) { s.seed = 100; }},
+      {"200", [](core::Scenario& s) { s.seed = 200; }},
+  };
+  cfg.axes = {std::move(seeds)};
+  for (const SweepPoint& p : run(cfg).points) {
+    const std::uint64_t axis_seed = p.desc.axis_indices[0] == 0 ? 100 : 200;
+    EXPECT_EQ(p.desc.seed, axis_seed + p.desc.replicate);
+    EXPECT_EQ(p.result.seed, p.desc.seed);
   }
 }
 
@@ -127,12 +126,11 @@ TEST(SweepDeterminism, ParallelMatchesSerialBitForBit) {
   }
 
   const auto csv_bytes = [](const SweepResult& r) {
-    std::ostringstream points, summary, series, json;
+    std::ostringstream points, summary, series;
     write_points_csv(r, points);
     write_summary_csv(r, aggregate(r), summary);
     write_series_csv(r, "P", 0, series);
-    write_bench_json(r, json);
-    return points.str() + summary.str() + series.str() + json.str();
+    return points.str() + summary.str() + series.str();
   };
   const std::string want = csv_bytes(serial);
   EXPECT_EQ(want, csv_bytes(dedicated));
@@ -179,49 +177,6 @@ TEST(SweepAggregate, SummarizesReplicatesPerCell) {
     EXPECT_DOUBLE_EQ(m.ci.half_width,
                      student_t_975(1) * sd / std::sqrt(2.0));
   }
-}
-
-TEST(SweepObs, MetricsAndProgressArriveInOrder) {
-  SweepConfig cfg = small_config();
-  cfg.threads = 2;
-  obs::MetricsRegistry metrics;
-  cfg.metrics = &metrics;
-  std::vector<std::size_t> seen;
-  cfg.on_point = [&](const PointDesc& desc, std::size_t done,
-                     std::size_t total) {
-    EXPECT_EQ(total, 8u);
-    EXPECT_EQ(done, desc.index + 1);  // landed in linear order
-    seen.push_back(desc.index);
-  };
-  const SweepResult result = run(cfg);
-  ASSERT_EQ(seen.size(), 8u);
-  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
-
-  const obs::Labels labels{{"sweep", cfg.name}};
-  EXPECT_DOUBLE_EQ(metrics.gauge("sweep.points_total", labels).value(), 8.0);
-  EXPECT_DOUBLE_EQ(metrics.counter("sweep.points_done", labels).value(), 8.0);
-  EXPECT_GT(metrics.counter("sweep.events_executed", labels).value(), 0.0);
-  obs::Labels probe_labels = labels;
-  probe_labels.emplace_back("metric", "mean_P");
-  EXPECT_EQ(metrics.distribution("sweep.metric", probe_labels).count(), 8u);
-  (void)result;
-}
-
-TEST(SweepObs, TraceSinkSeesLifecycleAndOptionallyExperiments) {
-  SweepConfig cfg = small_config();
-  cfg.threads = 2;
-  obs::CollectingTraceSink sink;
-  cfg.trace = &sink;
-  (void)run(cfg);
-  EXPECT_EQ(sink.count(obs::ev::kSweepStart), 1u);
-  EXPECT_EQ(sink.count(obs::ev::kSweepPoint), 8u);
-  EXPECT_EQ(sink.count(obs::ev::kSweepDone), 1u);
-  EXPECT_EQ(sink.count(obs::ev::kFrameCaptured), 0u);
-
-  sink.clear();
-  cfg.trace_experiments = true;
-  (void)run(cfg);
-  EXPECT_GT(sink.count(obs::ev::kFrameCaptured), 0u);
 }
 
 TEST(SweepRun, NoAxesMeansControllersTimesReplicates) {
@@ -289,20 +244,6 @@ TEST(SweepWriters, SeriesCsvMatchesBundleShape) {
   std::string first;
   std::getline(is, first);
   EXPECT_NE(first.find("fps=15,frame-feedback#0"), std::string::npos);
-}
-
-TEST(SweepWriters, BenchJsonHasSuiteAndBenchmarks) {
-  SweepConfig cfg = small_config();
-  cfg.threads = 1;
-  cfg.replicates = 1;
-  const SweepResult result = run(cfg);
-  std::ostringstream os;
-  write_bench_json(result, os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"suite\": \"test_sweep\""), std::string::npos);
-  EXPECT_NE(json.find("\"benchmarks\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"mean_P\": "), std::string::npos);
-  EXPECT_NE(json.find("\"fingerprint\": "), std::string::npos);
 }
 
 }  // namespace

@@ -35,10 +35,12 @@ struct Finding {
   friend bool operator<(const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;
-    return a.rule < b.rule;
+    if (a.rule != b.rule) return a.rule < b.rule;
+    return a.message < b.message;
   }
   friend bool operator==(const Finding& a, const Finding& b) {
-    return a.file == b.file && a.line == b.line && a.rule == b.rule;
+    return a.file == b.file && a.line == b.line && a.rule == b.rule &&
+           a.message == b.message;
   }
 };
 

@@ -306,30 +306,53 @@ class ClassParser {
     return end - 1;
   }
 
-  /// Records one member declaration (splitting multi-declarator
-  /// statements on top-level commas).
+  /// Records the members one statement declares. `int a_, b_;` declares
+  /// two: the statement is split on commas outside <>, () and {}, the
+  /// type specifiers of the first declarator apply to every name, and
+  /// each declarator carries its own name and annotation.
   void harvest_member(const std::vector<std::size_t>& stmt,
                       ClassInfo* info) {
+    std::vector<std::vector<std::size_t>> declarators(1);
+    int angle = 0;
+    int nesting = 0;  // () and {}
+    bool in_init = false;
+    for (std::size_t n = 0; n < stmt.size(); ++n) {
+      const Token& t = toks_[stmt[n]];
+      if (t.text == "(" || t.text == "{") {
+        ++nesting;
+      } else if (t.text == ")" || t.text == "}") {
+        --nesting;
+      } else if (t.text == "<" && !in_init && n > 0 &&
+                 toks_[stmt[n - 1]].kind == TokKind::kIdentifier) {
+        ++angle;
+      } else if (t.text == ">" && angle > 0) {
+        --angle;
+      } else if (nesting == 0 && angle == 0 && t.text == "=") {
+        in_init = true;
+      } else if (nesting == 0 && angle == 0 && t.text == ",") {
+        declarators.emplace_back();
+        in_init = false;
+        continue;
+      }
+      declarators.back().push_back(stmt[n]);
+    }
+
     bool is_static = false;
     bool is_const = false;
     bool is_sync = false;
     bool is_mutex = false;
-    bool guarded = false;
     bool numeric = false;
-    int angle = 0;
-    for (std::size_t n = 0; n < stmt.size(); ++n) {
-      const Token& t = toks_[stmt[n]];
+    int type_angle = 0;
+    const std::vector<std::size_t>& first = declarators.front();
+    for (std::size_t n = 0; n < first.size(); ++n) {
+      const Token& t = toks_[first[n]];
       if (t.text == "<" && n > 0 &&
-          toks_[stmt[n - 1]].kind == TokKind::kIdentifier) {
-        ++angle;
-      } else if (t.text == ">" && angle > 0) {
-        --angle;
+          toks_[first[n - 1]].kind == TokKind::kIdentifier) {
+        ++type_angle;
+      } else if (t.text == ">" && type_angle > 0) {
+        --type_angle;
       }
-      if (t.kind != TokKind::kIdentifier) continue;
-      if (t.text == "FF_GUARDED_BY" || t.text == "FF_PT_GUARDED_BY") {
-        guarded = true;
-      }
-      if (angle > 0) continue;
+      if (t.kind != TokKind::kIdentifier || type_angle > 0) continue;
       if (t.text == "static" || t.text == "constexpr" ||
           t.text == "inline") {
         is_static = true;
@@ -340,31 +363,40 @@ class ClassParser {
       if (is_numeric_type_token(t.text)) numeric = true;
     }
 
-    // Member name: the identifier directly before the first annotation
-    // macro, or failing that the last identifier of the declaration.
-    std::string member;
-    int line = toks_[stmt.front()].line;
-    for (std::size_t n = 0; n < stmt.size(); ++n) {
-      const Token& t = toks_[stmt[n]];
-      if (t.kind == TokKind::kIdentifier && is_annotation_macro(t.text)) {
-        break;
+    for (const std::vector<std::size_t>& decl_toks : declarators) {
+      // Member name: the identifier directly before the first annotation
+      // macro, or failing that the last identifier of the declarator.
+      std::string member;
+      int line = 0;
+      bool guarded = false;
+      bool named = false;
+      for (const std::size_t k : decl_toks) {
+        const Token& t = toks_[k];
+        if (t.kind == TokKind::kIdentifier &&
+            (t.text == "FF_GUARDED_BY" || t.text == "FF_PT_GUARDED_BY")) {
+          guarded = true;
+        }
+        if (named) continue;
+        if (t.kind == TokKind::kIdentifier && is_annotation_macro(t.text)) {
+          named = true;
+        } else if (t.text == "=" || t.text == "[") {
+          named = true;
+        } else if (t.kind == TokKind::kIdentifier) {
+          member = t.text;
+          line = t.line;
+        }
       }
-      if (t.kind == TokKind::kIdentifier) {
-        member = t.text;
-        line = t.line;
-      }
-      if (t.text == "=" || t.text == "[") break;
-    }
-    if (member.empty() || is_annotation_macro(member)) return;
+      if (member.empty()) continue;
 
-    if (is_mutex) info->owns_mutex = true;
-    MemberDecl decl;
-    decl.name = member;
-    decl.line = line;
-    decl.guarded = guarded;
-    decl.exempt = is_static || is_const || is_sync;
-    decl.numeric = numeric && !is_static;
-    info->members.push_back(decl);
+      if (is_mutex) info->owns_mutex = true;
+      MemberDecl decl;
+      decl.name = member;
+      decl.line = line;
+      decl.guarded = guarded;
+      decl.exempt = is_static || is_const || is_sync;
+      decl.numeric = numeric && !is_static;
+      info->members.push_back(decl);
+    }
   }
 
   const std::vector<Token>& toks_;
