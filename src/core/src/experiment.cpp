@@ -173,9 +173,9 @@ void Experiment::build() {
           path_config(i, dconf, s));
 
       // Each link crosses from its sender's partition to the receiver's;
-      // self-edges (device co-partitioned with the server) still route
-      // through the mailbox so the delivery order contract is identical
-      // at every K.
+      // a self-edge (device co-partitioned with the server) delivers
+      // without a barrier but in the same canonical order, so delivery
+      // order is identical at every K.
       net::Link& fwd = path->path().forward_link();
       net::Link& rev = path->path().reverse_link();
       fwd.bind_boundary(&psim_.add_edge(part, server_part, floor));

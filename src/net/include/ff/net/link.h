@@ -61,12 +61,11 @@ struct LinkStats {
 ///    their delivery events were scheduled -- which is serialization
 ///    completion order. No tie is ever broken by wall-clock, pointer
 ///    value, or container iteration order.
-///  - When the link crosses a partition boundary (bind_boundary), the
-///    delivery is posted through the boundary edge instead of being
-///    scheduled directly; the partitioned driver re-establishes the same
-///    (deliver time, post time, edge, FIFO) order canonically, so the
-///    receiver observes an identical delivery sequence at every
-///    partition count.
+///  - When the link is bound to a boundary edge (bind_boundary), the
+///    delivery is posted through the edge instead of being scheduled
+///    directly; the partitioned kernel runs every post in the canonical
+///    (deliver time, post time, edge, FIFO) order, so the receiver
+///    observes an identical delivery sequence at every partition count.
 class Link {
  public:
   using DeliveryFn = std::function<void(const Packet&)>;
@@ -108,8 +107,8 @@ class Link {
   /// Not owned.
   void attach_trace_sink(obs::TraceSink* sink) { sink_ = sink; }
 
-  /// Routes deliveries through a cross-partition mailbox instead of the
-  /// home simulator (nullptr restores direct scheduling). A bound link
+  /// Routes deliveries through a boundary edge instead of the home
+  /// simulator (nullptr restores direct scheduling). A bound link
   /// never delivers sooner than the edge's min_delay after serialization
   /// ends -- a shorter propagation delay (zero, or jitter) is raised to
   /// it -- which is the lookahead contract BoundaryEdge::post asserts.

@@ -28,13 +28,13 @@
 // (time, sequence) order is a strict total order, so it is independent of
 // heap arity and internal layout.
 //
-// The 40-bit sequence space is split into two bands. Internal events --
-// everything scheduled through schedule() -- draw monotonically from
-// [0, kExternalSequenceBase). Cross-partition deliveries injected by
-// sim::PartitionedSimulator carry caller-assigned sequences in
-// [kExternalSequenceBase, 2^40): at equal timestamps every internal event
-// therefore sorts before every delivery, and the driver's global
-// assignment order -- not thread scheduling -- decides delivery order.
+// Boundary deliveries (sim::BoundaryEdge posts, see partition.h) sit in a
+// second heap that shares the slab. It is ordered by (deliver time, post
+// time, order word) -- the order word packs the edge id and the edge's
+// post index, so the key is a strict total order and deliveries run in
+// key order whatever order they were inserted in. Dispatch merges the
+// two heaps, and at equal timestamps every internal event runs before
+// every delivery.
 //
 // Hot-path members are defined inline here: the per-event cost is a few
 // dozen nanoseconds, so a cross-TU call boundary per pop would be a
@@ -43,7 +43,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "ff/sim/inline_task.h"
@@ -58,16 +60,19 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
-/// An event ready for execution.
+/// An event ready for execution. `sequence` is an internal event's
+/// scheduling sequence, or a delivery's order word.
 struct Event {
   SimTime time{0};
   std::uint64_t sequence{0};
-  EventId id{};
   InlineTask action;
 };
 
 class EventQueue {
  public:
+  /// next_time() of an empty queue.
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
   EventQueue() = default;
   ~EventQueue();
 
@@ -91,19 +96,24 @@ class EventQueue {
   /// Schedules an already-built task at absolute time `t`.
   EventId schedule(SimTime t, InlineTask action);
 
-  /// First sequence of the external band (see the ordering note above).
-  /// Internal sequences assert they stay below it; external ones assert
-  /// they stay inside it.
-  static constexpr std::uint64_t kExternalSequenceBase = std::uint64_t{1}
-      << 39;
-
-  /// Schedules `action` at `t` under a caller-assigned sequence from the
-  /// external band. The caller owns uniqueness (the partitioned driver
-  /// assigns from one global counter) and ordering: at equal `t`, events
-  /// compare by sequence, so externals run after all internal events of
-  /// that timestamp, in assignment order.
-  EventId schedule_external(SimTime t, std::uint64_t sequence,
-                            InlineTask&& action);
+  /// Queues a boundary delivery at `t`, constructing the callable in the
+  /// slab (or moving an already-built task in). Deliveries have no
+  /// EventId and cannot be cancelled. The caller owns the key: (t,
+  /// post_time, order) must be unique, and no delivery may be inserted
+  /// behind one that has already run.
+  template <class F>
+  void deliver(SimTime t, SimTime post_time, std::uint64_t order,
+               F&& action) {
+    const std::uint32_t slot = acquire_slot();
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineTask>) {
+      slot_at(slot).task = std::forward<F>(action);
+    } else {
+      slot_at(slot).task.emplace(std::forward<F>(action));
+    }
+    deliveries_.push_back(Delivery{t, post_time, order, slot});
+    std::push_heap(deliveries_.begin(), deliveries_.end(), Later{});
+    next_delivery_ = deliveries_.front().time;
+  }
 
   /// Cancels the event, releasing its callable immediately. Returns false
   /// if the id is unknown, already executed, or already cancelled.
@@ -116,32 +126,27 @@ class EventQueue {
     return true;
   }
 
-  /// True when no live events remain.
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-
-  /// Time of the earliest live event; only valid when !empty().
-  [[nodiscard]] SimTime next_time() const {
-    assert(!heap_.empty());
-    return heap_.front().time;
+  /// True when no live events or deliveries remain.
+  [[nodiscard]] bool empty() const {
+    return heap_.empty() && deliveries_.empty();
   }
 
-  /// Removes and returns the earliest live event; only valid when !empty().
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() + deliveries_.size();
+  }
+
+  /// Time of the earliest pending event; kNever when empty.
+  [[nodiscard]] SimTime next_time() const {
+    return heap_.empty() ? next_delivery_
+                         : std::min(heap_.front().time, next_delivery_);
+  }
+
+  /// Removes and returns the earliest pending event; only valid when
+  /// !empty().
   [[nodiscard]] Event pop() {
-    assert(!heap_.empty());
-    const HeapEntry e = heap_.front();
-    const HeapEntry back = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, back);
-    const auto slot = static_cast<std::uint32_t>((e.key & kSlotMask) - 1);
-    Slot& s = slot_at(slot);
-    Event out;
-    out.time = e.time;
-    out.sequence = e.key >> kSlotBits;
-    out.id = EventId{e.key};
-    out.action = std::move(s.task);
-    release_slot(slot);
+    const Front f = take_front();
+    Event out{f.time, f.sequence, std::move(slot_at(f.slot).task)};
+    release_slot(f.slot);
     return out;
   }
 
@@ -150,20 +155,15 @@ class EventQueue {
   /// the callable is executed with zero moves. The event's id is dead for
   /// the duration of the visit (self-cancel is a no-op, matching pop()),
   /// and the slot is recycled afterwards even if the visit unwinds. The
-  /// visit may schedule and cancel freely; it must not re-enter pop() or
-  /// visit_pop() on this queue.
+  /// visit may schedule, deliver and cancel freely; it must not re-enter
+  /// pop() or visit_pop() on this queue.
   template <class Visit>
   void visit_pop(Visit&& visit) {
-    assert(!heap_.empty());
-    const HeapEntry e = heap_.front();
-    const HeapEntry back = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, back);
-    const auto slot = static_cast<std::uint32_t>((e.key & kSlotMask) - 1);
-    Slot& s = slot_at(slot);
+    const Front f = take_front();
+    Slot& s = slot_at(f.slot);
     s.sequence = kFreeSequence;  // id is dead while the action runs
-    const ReleaseGuard guard{this, &s, slot};
-    visit(e.time, e.key >> kSlotBits, s.task);
+    const ReleaseGuard guard{this, &s, f.slot};
+    visit(f.time, f.sequence, s.task);
   }
 
   /// Drops everything.
@@ -211,6 +211,52 @@ class EventQueue {
     }
   };
 
+  /// A delivery's heap record. Deliveries are never cancelled, so the
+  /// record tracks no heap position and its slot keeps kFreeSequence,
+  /// which no EventId matches.
+  struct Delivery {
+    SimTime time;
+    SimTime post_time;
+    std::uint64_t order;
+    std::uint32_t slot;
+  };
+
+  /// The earliest event of either heap, already unlinked from it.
+  struct Front {
+    SimTime time;
+    std::uint64_t sequence;
+    std::uint32_t slot;
+  };
+
+  /// Heap comparator for deliveries (std:: heaps are max-heaps).
+  struct Later {
+    bool operator()(const Delivery& a, const Delivery& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.post_time != b.post_time) return a.post_time > b.post_time;
+      return a.order > b.order;
+    }
+  };
+
+  Front take_front() {
+    assert(!empty());
+    // Internal events win timestamp ties; with no deliveries pending,
+    // next_delivery_ is kNever and the comparison is always false.
+    if (heap_.empty() || next_delivery_ < heap_.front().time) {
+      const Delivery d = deliveries_.front();
+      std::pop_heap(deliveries_.begin(), deliveries_.end(), Later{});
+      deliveries_.pop_back();
+      next_delivery_ =
+          deliveries_.empty() ? kNever : deliveries_.front().time;
+      return Front{d.time, d.order, d.slot};
+    }
+    const HeapEntry e = heap_.front();
+    const HeapEntry back = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, back);
+    return Front{e.time, e.key >> kSlotBits,
+                 static_cast<std::uint32_t>((e.key & kSlotMask) - 1)};
+  }
+
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     // For equal times the unique sequence occupies the key's high bits, so
     // the key comparison IS the sequence tiebreak.
@@ -243,12 +289,6 @@ class EventQueue {
 
   EventId push_entry(SimTime t, std::uint32_t slot) {
     const std::uint64_t seq = next_sequence_++;
-    assert(seq < kExternalSequenceBase &&
-           "internal event sequences must stay below the external band");
-    return push_entry_with(t, slot, seq);
-  }
-
-  EventId push_entry_with(SimTime t, std::uint32_t slot, std::uint64_t seq) {
     assert(seq < (std::uint64_t{1} << (64 - kSlotBits)) &&
            "event sequence exceeds the EventId packing range");
     slot_at(slot).sequence = seq;
@@ -334,6 +374,8 @@ class EventQueue {
   std::uint32_t grow_slab();
 
   std::vector<HeapEntry> heap_;
+  std::vector<Delivery> deliveries_;
+  SimTime next_delivery_{kNever};  ///< deliveries_.front().time, or kNever
   // Raw chunk storage: slots are placement-constructed one at a time as the
   // pending set first grows, so a fresh queue never streams init writes
   // over cache lines it is not about to use. slot_count_ is the number of

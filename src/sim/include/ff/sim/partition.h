@@ -8,38 +8,42 @@
 // its partition). Partitions interact exclusively through directed
 // BoundaryEdges whose `min_delay` is a hard lower bound on how far into
 // the destination's future a message can land -- for network links, the
-// minimum propagation delay. That bound is the classic conservative
+// minimum propagation delay. An edge whose source and destination are the
+// same partition is a self-edge; only the other, cross-partition edges
+// constrain the schedule. Their bound is the classic conservative
 // lookahead: each round the driver computes the global safe horizon
 //
-//     H = min_i(next_event_time_i) + min_edges(min_delay)
+//     H = min_i(next_event_time_i) + min_cross_edges(min_delay)
 //
 // runs every partition up to (but excluding) H in parallel -- no event
 // executed inside the window can influence another partition before H --
 // then drains the outboxes at the barrier and opens the next window.
 // This is the time-window variant of null-message synchronization: the
 // horizon broadcast plays the role of null messages, amortized to one
-// barrier per window instead of one message per edge.
+// barrier per window instead of one message per edge. Without
+// cross-partition edges -- always the case at K=1 -- H is the end of the
+// run, so the whole run is one window.
 //
 // Determinism is the headline contract: results are bit-identical for any
 // partition count and any worker-thread count. Three mechanisms carry it:
 //
-//  1. Each partition posts into its own outbox, SPSC by construction (the
-//     worker owning the partition appends during a window; the driver
-//     consumes only at barriers), so no interleaving exists to observe.
-//  2. At each barrier the driver gathers the K outboxes and sorts the
-//     envelopes by the strict total order (deliver_at, post_time, edge
-//     id, position in the outbox) -- the edge id makes full ties
-//     independent of which partition posted them -- then assigns
-//     sequences from one global counter in that order. Windows
-//     partition virtual time identically for every K (the
-//     pending-event union, and hence the horizon sequence, is
-//     K-independent), so equal post times always share a drain and the
-//     assignment is reproducible. The barrier costs O(K + n log n) for n
-//     envelopes, however many edges exist.
-//  3. Assigned sequences live in the EventQueue's external band: at equal
-//     timestamps, every delivery executes after every internal event of
-//     the destination partition, by explicit rule rather than by accident
-//     of scheduling interleave.
+//  1. Every post gets a canonical key (deliver_at, post_time, edge id,
+//     the edge's post index). Each partition's Simulator runs its
+//     deliveries from a heap ordered by that key, after every internal
+//     event of the same timestamp (event_queue.h). Edge ids and post
+//     indices are K-independent, so the key is too.
+//  2. A self-edge post constructs its action straight into its
+//     partition's delivery heap. A cross-partition post appends to the
+//     source partition's outbox, SPSC by construction (the worker owning
+//     the partition appends during a window; the driver consumes only at
+//     barriers), and the barrier moves each envelope into its
+//     destination's heap: O(K + n) for n envelopes, with no sort, since
+//     the heap orders by key whatever the insertion order.
+//  3. Every delivery enters its heap before its destination's clock
+//     reaches it: a cross-partition delivery lands at or after the
+//     window's horizon, which the destination has not yet executed, and
+//     a self-edge delivery lands at least min_delay after its post. So
+//     no delivery can be overtaken by one with a larger key.
 //
 // Why conservative rather than optimistic (Time Warp): the entities
 // executed here (transports, batching servers, controllers) carry deep
@@ -60,7 +64,6 @@
 #include <utility>
 #include <vector>
 
-#include "ff/sim/event_queue.h"
 #include "ff/sim/inline_task.h"
 #include "ff/sim/simulator.h"
 #include "ff/util/units.h"
@@ -72,42 +75,57 @@ namespace ff::sim {
 /// interference_size, whose value is an ABI hazard GCC warns about.
 inline constexpr std::size_t kCacheLine = 64;
 
-/// One cross-partition message: an action to run in partition
-/// `destination` at `deliver_at`, posted through edge `edge` at
-/// `post_time`.
+/// One cross-partition message waiting in its source partition's outbox:
+/// an action to run in `destination` at `deliver_at`, posted at
+/// `post_time`, with the posting edge's order word.
 struct BoundaryEnvelope {
   template <class F>
-  BoundaryEnvelope(SimTime at, SimTime posted, std::size_t edge_id,
-                   std::size_t to, F&& task)
+  BoundaryEnvelope(SimTime at, SimTime posted, std::uint64_t order_word,
+                   Simulator* to, F&& task)
       : deliver_at(at),
         post_time(posted),
-        edge(edge_id),
+        order(order_word),
         destination(to),
         action(std::forward<F>(task)) {}
 
   SimTime deliver_at;
   SimTime post_time;
-  std::size_t edge;
-  std::size_t destination;
+  std::uint64_t order;
+  Simulator* destination;
   InlineTask action;
 };
 
 /// One directed source-partition -> destination-partition edge. It owns
-/// no storage: a post appends to the source partition's outbox, tagged
-/// with this edge's id and destination, so an edge's envelopes sit in
-/// one outbox in post order.
+/// no storage: a self-edge post goes straight into the partition's
+/// delivery heap, and a cross-partition post appends to the source
+/// partition's outbox until the next barrier.
 class BoundaryEdge {
  public:
+  /// Low bits of an order word that hold the post index; the edge id
+  /// sits above them.
+  static constexpr unsigned kPostIndexBits = 40;
+
   /// Posts an action for the destination partition, constructing the
-  /// callable directly in the outbox envelope. Must be called only from
-  /// events executing in the source partition. `deliver_at` must honor
-  /// the lookahead contract: deliver_at >= post_time + min_delay().
+  /// callable directly in the delivery heap's slab (self-edge) or in the
+  /// outbox envelope (cross-partition edge). Must be called only from
+  /// events executing in the source partition, with `post_time` its
+  /// current time. `deliver_at` must honor the lookahead contract:
+  /// deliver_at >= post_time + min_delay().
   template <class F>
   void post(SimTime post_time, SimTime deliver_at, F&& action) {
     assert(deliver_at >= post_time + min_delay_ &&
            "boundary post violates the edge's lookahead contract");
-    outbox_->emplace_back(deliver_at, post_time, id_, destination_,
-                          std::forward<F>(action));
+    assert(posts_ < (std::uint64_t{1} << kPostIndexBits) &&
+           "edge post index exceeds the order-word packing range");
+    const std::uint64_t order =
+        (static_cast<std::uint64_t>(id_) << kPostIndexBits) | posts_++;
+    if (outbox_ == nullptr) {
+      target_->deliver(deliver_at, post_time, order,
+                       std::forward<F>(action));
+    } else {
+      outbox_->emplace_back(deliver_at, post_time, order, target_,
+                            std::forward<F>(action));
+    }
   }
 
   /// Lookahead bound: no post may deliver sooner than this after its
@@ -118,25 +136,30 @@ class BoundaryEdge {
   [[nodiscard]] std::size_t destination() const { return destination_; }
 
   /// Creation index; ties between different edges at equal
-  /// (deliver_at, post_time) drain in this order.
+  /// (deliver_at, post_time) deliver in this order.
   [[nodiscard]] std::size_t id() const { return id_; }
 
  private:
   friend class PartitionedSimulator;
 
   BoundaryEdge(std::size_t id, std::size_t source, std::size_t destination,
-               SimDuration min_delay, std::vector<BoundaryEnvelope>* outbox)
+               SimDuration min_delay, std::vector<BoundaryEnvelope>* outbox,
+               Simulator* target)
       : id_(id),
         source_(source),
         destination_(destination),
         min_delay_(min_delay),
-        outbox_(outbox) {}
+        outbox_(outbox),
+        target_(target) {}
 
   std::size_t id_;
   std::size_t source_;
   std::size_t destination_;
   SimDuration min_delay_;
-  std::vector<BoundaryEnvelope>* outbox_;  ///< the source partition's
+  /// The source partition's outbox; nullptr on a self-edge.
+  std::vector<BoundaryEnvelope>* outbox_;
+  Simulator* target_;  ///< the destination partition
+  std::uint64_t posts_{0};
 };
 
 /// K Simulators advanced in lockstep time windows. See the file comment
@@ -179,10 +202,10 @@ class PartitionedSimulator {
 
   /// Registers a directed edge. `min_delay` must be strictly positive --
   /// a zero-delay edge has no lookahead and would force zero-width
-  /// windows -- otherwise std::invalid_argument is thrown. Self-edges
-  /// (source == destination) are allowed and still route through the
-  /// source partition's outbox, which keeps delivery ordering identical
-  /// at every K.
+  /// windows -- otherwise std::invalid_argument is thrown, as it is past
+  /// 2^24 edges (the order word's edge-id range). Self-edges (source ==
+  /// destination) deliver without a barrier, in the same canonical order
+  /// as cross-partition edges, so delivery order is identical at every K.
   BoundaryEdge& add_edge(std::size_t source, std::size_t destination,
                          SimDuration min_delay);
 
@@ -191,8 +214,9 @@ class PartitionedSimulator {
   /// at safe-horizon barriers. Returns events executed by this call.
   std::uint64_t run_until(SimTime t_end);
 
-  /// Global lookahead: the minimum min_delay over all edges (0 when no
-  /// edges exist, in which case windows span straight to t_end).
+  /// Global lookahead: the minimum min_delay over the cross-partition
+  /// edges (0 when there are none, in which case one window spans
+  /// straight to t_end).
   [[nodiscard]] SimDuration lookahead() const { return lookahead_; }
 
   /// Conservative global clock: the minimum of the partition clocks.
@@ -203,7 +227,7 @@ class PartitionedSimulator {
 
   /// Safe horizon for one round, exposed for tests: the earliest pending
   /// event time across partitions plus the lookahead, capped at `t_end`;
-  /// `t_end` directly when idle or edge-free.
+  /// `t_end` directly when idle or without cross-partition edges.
   [[nodiscard]] SimTime safe_horizon(SimTime t_end) const;
 
  private:
@@ -213,25 +237,14 @@ class PartitionedSimulator {
   void stop_workers();
   void worker_loop(unsigned index);
 
-  /// Envelopes posted by one source partition's edges since the last
-  /// barrier, in post order. Single producer (the worker owning that
-  /// partition, during a window), single consumer (the driver, at the
-  /// barrier): the phases never overlap and the round_/remaining_
-  /// handoffs below order them, so a plain vector suffices. The padding
-  /// keeps two workers' appends off one cache line.
+  /// Envelopes posted by one source partition's cross-partition edges
+  /// since the last barrier, in post order. Single producer (the worker
+  /// owning that partition, during a window), single consumer (the
+  /// driver, at the barrier): the phases never overlap and the
+  /// round_/remaining_ handoffs below order them, so a plain vector
+  /// suffices. The padding keeps two workers' appends off one cache line.
   struct alignas(kCacheLine) Outbox {
     std::vector<BoundaryEnvelope> envelopes;
-  };
-
-  /// Drain scratch, reused across barriers: an envelope's sort key and
-  /// its address. The key is a strict total order (an edge's envelopes
-  /// share one outbox, so position breaks every remaining tie).
-  struct DrainEntry {
-    SimTime deliver_at;
-    SimTime post_time;
-    std::size_t edge;
-    std::size_t position;  ///< index in the envelope's outbox
-    BoundaryEnvelope* envelope;
   };
 
   std::vector<std::unique_ptr<Simulator>> partitions_;
@@ -240,8 +253,6 @@ class PartitionedSimulator {
   /// A deque, so the references add_edge returns survive later adds.
   std::deque<BoundaryEdge> edges_;
   SimDuration lookahead_{0};
-  std::uint64_t next_external_seq_{EventQueue::kExternalSequenceBase};
-  std::vector<DrainEntry> batch_;
 
   // Worker gang (started lazily on the first parallel window). Round
   // protocol: the driver writes horizon_, bumps round_ (release); workers

@@ -6,8 +6,14 @@
 // servers are plain objects that schedule callbacks. Determinism contract:
 // given the same seed and the same construction order, two runs produce
 // identical event sequences.
+//
+// A Simulator that is one partition of a sim::PartitionedSimulator also
+// receives boundary deliveries. They run from the queue's delivery heap
+// in (time, post time, edge id, post index) order, after every ordinary
+// event of the same timestamp (see event_queue.h).
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string_view>
 #include <utility>
@@ -17,6 +23,9 @@
 #include "ff/util/units.h"
 
 namespace ff::sim {
+
+class BoundaryEdge;
+class PartitionedSimulator;
 
 class Simulator {
  public:
@@ -43,18 +52,6 @@ class Simulator {
     return queue_.schedule(std::max(t, now_), std::forward<F>(action));
   }
 
-  /// Schedules a cross-partition delivery at absolute time `t` (clamped to
-  /// >= now) under a caller-assigned sequence from the external band (see
-  /// EventQueue::kExternalSequenceBase). Used by sim::PartitionedSimulator
-  /// when draining boundary mailboxes; not for ordinary scheduling. Takes
-  /// the task by rvalue so a drained envelope's task moves once, straight
-  /// into the queue's slab.
-  EventId schedule_external(SimTime t, std::uint64_t sequence,
-                            InlineTask&& action) {
-    return queue_.schedule_external(std::max(t, now_), sequence,
-                                    std::move(action));
-  }
-
   /// Cancels a pending event. Safe to call with stale/executed ids.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
@@ -71,8 +68,9 @@ class Simulator {
   /// True when no events are pending.
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
-  /// Time of the earliest pending event; only valid when !idle(). The
-  /// partitioned driver reads this to compute the global safe horizon.
+  /// Time of the earliest pending event; EventQueue::kNever when idle.
+  /// The partitioned driver reads this to compute the global safe
+  /// horizon.
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
@@ -88,10 +86,12 @@ class Simulator {
   /// Total events executed so far.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
-  /// Called just before each event's action runs, with the event's (time,
-  /// sequence). A raw function pointer so the unset case is one predictable
-  /// branch on the hot path. Used by determinism golden tests to fingerprint
-  /// the executed event order; nullptr detaches.
+  /// Called just before each event's action runs -- boundary deliveries
+  /// included -- with the event's (time, sequence); a delivery reports its
+  /// order word (edge id and post index). A raw function pointer so the
+  /// unset case is one predictable branch on the hot path. Used by
+  /// determinism golden tests to fingerprint the executed event order and
+  /// by the per-event cost probes; nullptr detaches.
   using EventObserver = void (*)(void* ctx, SimTime time,
                                  std::uint64_t sequence);
   void set_event_observer(EventObserver observer, void* ctx) {
@@ -100,6 +100,20 @@ class Simulator {
   }
 
  private:
+  friend class BoundaryEdge;
+  friend class PartitionedSimulator;
+
+  /// Queues a boundary delivery at `t` under its canonical key. Only
+  /// BoundaryEdge::post (self-edges) and the partitioned driver's barrier
+  /// (cross-partition edges) insert deliveries, and never behind the
+  /// clock.
+  template <class F>
+  void deliver(SimTime t, SimTime post_time, std::uint64_t order,
+               F&& action) {
+    assert(t >= now_ && "a boundary delivery must not land in the past");
+    queue_.deliver(t, post_time, order, std::forward<F>(action));
+  }
+
   /// Pops and runs the earliest event, executing its task in place in the
   /// queue's slab (zero task moves per event).
   void execute_next() {

@@ -8,15 +8,6 @@ EventId EventQueue::schedule(SimTime t, InlineTask action) {
   return push_entry(t, slot);
 }
 
-EventId EventQueue::schedule_external(SimTime t, std::uint64_t sequence,
-                                      InlineTask&& action) {
-  assert(sequence >= kExternalSequenceBase &&
-         "external sequences must come from the external band");
-  const std::uint32_t slot = acquire_slot();
-  slot_at(slot).task = std::move(action);
-  return push_entry_with(t, slot, sequence);
-}
-
 EventQueue::~EventQueue() {
   for (std::uint32_t i = 0; i < slot_count_; ++i) slot_at(i).~Slot();
   for (Slot* chunk : chunks_) {
@@ -39,13 +30,13 @@ std::uint32_t EventQueue::grow_slab() {
 
 void EventQueue::clear() {
   heap_.clear();
+  deliveries_.clear();
+  next_delivery_ = kNever;
   free_head_ = kNoFreeSlot;
   for (std::uint32_t i = slot_count_; i > 0; --i) {
     Slot& s = slot_at(i - 1);
-    if (s.sequence != kFreeSequence) {
-      s.task.reset();
-      s.sequence = kFreeSequence;
-    }
+    s.task.reset();  // delivery slots carry kFreeSequence, so reset all
+    s.sequence = kFreeSequence;
     s.next_free = free_head_;
     free_head_ = i - 1;
   }

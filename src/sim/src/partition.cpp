@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 namespace ff::sim {
 namespace {
@@ -70,9 +69,22 @@ BoundaryEdge& PartitionedSimulator::add_edge(std::size_t source,
         "; conservative synchronization needs a strictly positive lookahead "
         "(the link's minimum propagation delay)");
   }
-  edges_.push_back(BoundaryEdge(edges_.size(), source, destination,
-                                min_delay, &outboxes_[source].envelopes));
-  lookahead_ = lookahead_ == 0 ? min_delay : std::min(lookahead_, min_delay);
+  if (edges_.size() >> (64 - BoundaryEdge::kPostIndexBits) != 0) {
+    throw std::invalid_argument(
+        "PartitionedSimulator::add_edge: more edges than an order word can "
+        "number");
+  }
+  const bool self = source == destination;
+  edges_.push_back(BoundaryEdge(
+      edges_.size(), source, destination, min_delay,
+      self ? nullptr : &outboxes_[source].envelopes,
+      partitions_[destination].get()));
+  // A self-edge's deliveries never leave the partition, so they need no
+  // barrier and do not bound the window.
+  if (!self) {
+    lookahead_ =
+        lookahead_ == 0 ? min_delay : std::min(lookahead_, min_delay);
+  }
   return edges_.back();
 }
 
@@ -91,9 +103,9 @@ std::uint64_t PartitionedSimulator::events_executed() const {
 SimTime PartitionedSimulator::safe_horizon(SimTime t_end) const {
   SimTime next = kNoEvent;
   for (const auto& p : partitions_) {
-    if (!p->idle()) next = std::min(next, p->next_event_time());
+    next = std::min(next, p->next_event_time());
   }
-  if (next >= t_end || edges_.empty()) return t_end;
+  if (next >= t_end || lookahead_ == 0) return t_end;
   return std::min(next + lookahead_, t_end);
 }
 
@@ -104,11 +116,11 @@ std::uint64_t PartitionedSimulator::run_until(SimTime t_end) {
   while (true) {
     SimTime next = kNoEvent;
     for (const auto& p : partitions_) {
-      if (!p->idle()) next = std::min(next, p->next_event_time());
+      next = std::min(next, p->next_event_time());
     }
     if (next >= t_end) break;
     const SimTime horizon =
-        edges_.empty() ? t_end : std::min(next + lookahead_, t_end);
+        lookahead_ == 0 ? t_end : std::min(next + lookahead_, t_end);
     execute_window(horizon);
     drain_mailboxes();
   }
@@ -118,28 +130,15 @@ std::uint64_t PartitionedSimulator::run_until(SimTime t_end) {
 }
 
 void PartitionedSimulator::drain_mailboxes() {
-  batch_.clear();
+  // Every key is unique and the heaps order by it, so envelopes can go in
+  // as they lie.
   for (Outbox& outbox : outboxes_) {
-    std::size_t position = 0;
     for (BoundaryEnvelope& env : outbox.envelopes) {
-      batch_.push_back(DrainEntry{env.deliver_at, env.post_time, env.edge,
-                                  position++, &env});
+      env.destination->deliver(env.deliver_at, env.post_time, env.order,
+                               std::move(env.action));
     }
+    outbox.envelopes.clear();
   }
-  if (batch_.empty()) return;
-  // The key is a strict total order, so the in-place sort is
-  // deterministic although it is not stable.
-  std::sort(batch_.begin(), batch_.end(),
-            [](const DrainEntry& a, const DrainEntry& b) {
-              return std::tie(a.deliver_at, a.post_time, a.edge, a.position) <
-                     std::tie(b.deliver_at, b.post_time, b.edge, b.position);
-            });
-  for (const DrainEntry& entry : batch_) {
-    (void)partitions_[entry.envelope->destination]->schedule_external(
-        entry.deliver_at, next_external_seq_++,
-        std::move(entry.envelope->action));
-  }
-  for (Outbox& outbox : outboxes_) outbox.envelopes.clear();
 }
 
 void PartitionedSimulator::execute_window(SimTime horizon) {

@@ -6,7 +6,7 @@ Simulator::Simulator(std::uint64_t seed) : root_rng_(seed) {}
 
 std::uint64_t Simulator::run_until(SimTime t_end) {
   std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.next_time() < t_end) {
+  while (queue_.next_time() < t_end) {
     execute_next();
     ++n;
   }

@@ -30,6 +30,9 @@ class Config {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  /// `fallback` when the key is missing or its value does not parse;
+  /// throws std::invalid_argument naming the key when it parses to NaN
+  /// or an infinity.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,

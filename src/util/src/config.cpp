@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
@@ -79,11 +80,17 @@ std::string Config::get_string(const std::string& key,
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v) return fallback;
+  double value = 0;
   try {
-    return std::stod(*v);
+    value = std::stod(*v);
   } catch (const std::exception&) {
     return fallback;
   }
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("Config: " + key + "=" + *v +
+                                " is not a finite number");
+  }
+  return value;
 }
 
 std::int64_t Config::get_int(const std::string& key,

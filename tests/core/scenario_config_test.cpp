@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "ff/core/framefeedback.h"
 
 namespace ff::core {
@@ -45,6 +47,19 @@ TEST(ScenarioConfig, SeedAndDuration) {
       make_config({{"seed", "99"}, {"duration_s", "12.5"}}));
   EXPECT_EQ(s.seed, 99u);
   EXPECT_EQ(s.duration, seconds_to_sim(12.5));
+}
+
+/// A NaN frame rate would re-arm the frame source at t=0 forever, and a
+/// NaN duration or bandwidth would run silently, so every non-finite
+/// numeric value must be rejected before a scenario is built.
+TEST(ScenarioConfig, NonFiniteNumbersThrow) {
+  for (const char* key : {"duration_s", "device.fps", "net.bandwidth_mbps"}) {
+    for (const char* text : {"nan", "inf", "-inf"}) {
+      EXPECT_THROW((void)scenario_from_config(make_config({{key, text}})),
+                   std::invalid_argument)
+          << key << "=" << text;
+    }
+  }
 }
 
 TEST(ScenarioConfig, PartitionsClampToOne) {

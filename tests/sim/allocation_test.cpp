@@ -151,36 +151,52 @@ TEST(Allocation, TimerRearmChurnIsAllocationFree) {
   EXPECT_EQ(fired, 2u * 128);
 }
 
-/// The partitioned path: every window barrier gathers, sorts and delivers
-/// the posted envelopes. K=1 with two self-edges, one of them idle; a
-/// chain posts through the other every 10 us, so each 100 us window
-/// carries 10 envelopes.
-TEST(Allocation, PartitionedWindowsAreAllocationFree) {
-  PartitionedSimulator ps(1, {1, 1});
-  BoundaryEdge& busy = ps.add_edge(0, 0, 100);
-  (void)ps.add_edge(0, 0, 100);
-  Simulator& sim = ps.partition(0);
+/// Posts through `edge` every 10 us from its source partition `sim`.
+struct PostChain {
+  Simulator* sim;
+  BoundaryEdge* edge;
+  std::uint64_t* delivered;
+  void operator()() const {
+    edge->post(sim->now(), sim->now() + edge->min_delay(),
+               [count = delivered] { ++*count; });
+    (void)sim->schedule_in(10, *this);
+  }
+};
+
+/// Runs a PostChain through `edge` (min_delay 100 us) past a warm-up
+/// that grows the outbox, the delivery heap and the slab, then expects
+/// 9,000 more deliveries without a single allocation.
+void expect_posts_allocation_free(PartitionedSimulator& ps,
+                                  BoundaryEdge& edge) {
+  Simulator& sim = ps.partition(edge.source());
   std::uint64_t delivered = 0;
-  struct Chain {
-    Simulator* sim;
-    BoundaryEdge* edge;
-    std::uint64_t* delivered;
-    void operator()() const {
-      edge->post(sim->now(), sim->now() + edge->min_delay(),
-                 [count = delivered] { ++*count; });
-      (void)sim->schedule_in(10, *this);
-    }
-  };
-  (void)sim.schedule_in(10, Chain{&sim, &busy, &delivered});
-  (void)ps.run_until(1'000);  // warm-up: outbox, drain scratch, slab
+  (void)sim.schedule_in(10, PostChain{&sim, &edge, &delivered});
+  (void)ps.run_until(1'000);  // warm-up
 
   const std::uint64_t before = delivered;
   {
     TrackingScope tracking;
-    (void)ps.run_until(91'000);  // 900 windows
+    (void)ps.run_until(91'000);
     EXPECT_EQ(TrackingScope::count(), 0u);
   }
   EXPECT_EQ(delivered - before, 9'000u);
+}
+
+/// The direct path: K=1 with two self-edges, one of them idle; the chain
+/// posts through the other straight into the partition's delivery heap.
+TEST(Allocation, PartitionedWindowsAreAllocationFree) {
+  PartitionedSimulator ps(1, {1, 1});
+  BoundaryEdge& busy = ps.add_edge(0, 0, 100);
+  (void)ps.add_edge(0, 0, 100);
+  expect_posts_allocation_free(ps, busy);
+}
+
+/// The barrier path: K=2 with the chain in partition 0 posting across to
+/// partition 1, so each 100 us window carries 10 envelopes that the
+/// barrier moves into partition 1's delivery heap.
+TEST(Allocation, CrossPartitionWindowsAreAllocationFree) {
+  PartitionedSimulator ps(1, {2, 1});
+  expect_posts_allocation_free(ps, ps.add_edge(0, 1, 100));
 }
 
 }  // namespace

@@ -56,6 +56,9 @@ TEST(PartitionedSimulator, LookaheadIsMinimumEdgeDelay) {
   ps.add_edge(1, 2, 2 * kMillisecond);
   ps.add_edge(2, 0, 9 * kMillisecond);
   EXPECT_EQ(ps.lookahead(), 2 * kMillisecond);
+  // Self-edges never cross a barrier, so they do not bound the window.
+  ps.add_edge(1, 1, 1 * kMillisecond);
+  EXPECT_EQ(ps.lookahead(), 2 * kMillisecond);
 }
 
 /// A single partition with no edges must behave exactly like a plain
@@ -115,9 +118,15 @@ TEST(PartitionedSimulator, SafeHorizonIsHorizonWhenIdleOrEdgeFree) {
   PartitionedSimulator idle(1, serial(2));
   idle.add_edge(0, 1, 5);
   EXPECT_EQ(idle.safe_horizon(1000), 1000);
+
+  PartitionedSimulator self_edges_only(1, serial(2));
+  self_edges_only.add_edge(0, 0, 5);
+  self_edges_only.add_edge(1, 1, 5);
+  self_edges_only.partition(0).schedule_at(10, [] {});
+  EXPECT_EQ(self_edges_only.safe_horizon(1000), 1000);
 }
 
-/// Adversarial mailbox ordering: deliveries with equal timestamps, posted
+/// Adversarial delivery ordering: deliveries with equal timestamps, posted
 /// through different edges at different post times, must execute in
 /// (deliver_at, post_time, edge id, FIFO) order -- and always after the
 /// destination's internal events at the same timestamp, even ones
@@ -147,13 +156,13 @@ TEST(PartitionedSimulator, CanonicalDrainOrderUnderAdversarialTimestamps) {
   p0.schedule_at(5, [&] { e1.post(5, 20, InlineTask(mark("D"))); });
 
   // Window 2: F also delivers at 25 but is posted at t=12, after E's
-  // barrier -- its later external sequence must still order it after E.
+  // barrier -- its later post time orders it after E.
   p0.schedule_at(12, [&] { e0.post(12, 25, InlineTask(mark("F"))); });
 
   // Internal events in the destination at the delivery timestamps. "I20"
   // is scheduled at t=15 -- after the t=20 deliveries were already
   // drained into p1's queue -- and must still run before all of them:
-  // internal sequences sort below the external band.
+  // internal events win timestamp ties against deliveries.
   p1.schedule_at(15, [&] {
     p1.schedule_at(20, mark("I20"));
   });
@@ -167,7 +176,7 @@ TEST(PartitionedSimulator, CanonicalDrainOrderUnderAdversarialTimestamps) {
 }
 
 /// Full (deliver_at, post_time) ties across source partitions. Envelopes
-/// are gathered outbox by outbox, so only the edge-id key makes the order
+/// are drained outbox by outbox, so only the edge-id key makes the order
 /// independent of which partition posted them. The edges are created out
 /// of source order, and partition 2 posts e2 before both of e0's posts,
 /// which must keep their FIFO order.
@@ -200,6 +209,47 @@ TEST(PartitionedSimulator, EdgeIdBreaksTiesAcrossSourcePartitions) {
                                              "e2"};
   EXPECT_EQ(run(1), expected);
   EXPECT_EQ(run(3), expected);
+}
+
+/// The direct path: self-edge posts go straight into the delivery heap
+/// while cross-partition posts wait for a barrier, and both must still
+/// interleave in one (deliver_at, post_time, edge id, FIFO) order. e0
+/// crosses from the last partition at K=2 but is a self-edge at K=1;
+/// partition 0 posts e2 before e1, and e2 again at a later post time.
+TEST(PartitionedSimulator, SelfAndCrossEdgeDeliveriesShareOneOrder) {
+  const auto run = [](std::size_t partitions, unsigned threads) {
+    PartitionedSimulator::Options o;
+    o.partitions = partitions;
+    o.threads = threads;
+    PartitionedSimulator ps(1, o);
+    const std::size_t last = partitions - 1;
+    BoundaryEdge& e0 = ps.add_edge(last, 0, 10);
+    BoundaryEdge& e1 = ps.add_edge(0, 0, 10);
+    BoundaryEdge& e2 = ps.add_edge(0, 0, 10);
+
+    // Every delivery runs in partition 0, so one thread writes the log.
+    std::vector<std::string> log;
+    const auto mark = [&log](const char* label) {
+      return [&log, label] { log.emplace_back(label); };
+    };
+    Simulator& p0 = ps.partition(0);
+    p0.schedule_at(0, [&] {
+      e2.post(0, 20, mark("e2"));
+      e1.post(0, 20, mark("e1 first"));
+      e1.post(0, 20, mark("e1 second"));
+    });
+    p0.schedule_at(5, [&] { e2.post(5, 20, mark("e2 late")); });
+    p0.schedule_at(15, [&] { p0.schedule_at(20, mark("I20")); });
+    ps.partition(last).schedule_at(0, [&] { e0.post(0, 20, mark("e0")); });
+    ps.run_until(100);
+    return log;
+  };
+
+  const std::vector<std::string> expected = {
+      "I20", "e0", "e1 first", "e1 second", "e2", "e2 late"};
+  EXPECT_EQ(run(1, 1), expected);
+  EXPECT_EQ(run(2, 1), expected);
+  EXPECT_EQ(run(2, 2), expected);
 }
 
 /// Envelopes still pending when run_until returns (posted in the final

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "ff/util/config.h"
 #include "ff/util/csv.h"
@@ -87,6 +89,20 @@ TEST(Config, FallbacksWhenMissingOrInvalid) {
   EXPECT_EQ(c.get_double("x", 7.0), 7.0);
   EXPECT_EQ(c.get_int("missing", 3), 3);
   EXPECT_EQ(c.get_string("missing", "d"), "d");
+}
+
+TEST(Config, NonFiniteDoublesThrowNamingTheKey) {
+  for (const char* text : {"nan", "inf", "-inf"}) {
+    Config c;
+    c.set("device.fps", text);
+    try {
+      (void)c.get_double("device.fps", 30.0);
+      FAIL() << text << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("device.fps"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Config, BoolParsing) {
